@@ -16,7 +16,7 @@
 
 use crate::config::{AccelConfig, Resolution};
 use crate::hashbank::HashBank;
-use nx_deflate::lz77::hash::match_length;
+use nx_deflate::lz77::hash4::match_length;
 use nx_deflate::lz77::{dist_code, length_code_index, Token, DIST_EXTRA, LENGTH_EXTRA};
 use nx_deflate::{MAX_MATCH, MIN_MATCH};
 

@@ -1,25 +1,28 @@
-//! E22 — Parallel + seekable inflate: speculative two-stage decode,
-//! member fan-out, and seek-index random access.
+//! E22 — Parallel + seekable inflate: member fan-out, the serial core for
+//! single streams, and seek-index random access.
 //!
-//! PR 6 added `nx_core::parallel_inflate`: a rapidgzip-style decoder
-//! that (a) decodes multi-member gzip member-per-worker, (b) splits a
-//! single member at probed block boundaries and decodes chunks ahead of
-//! the unknown 32 KB window into marker buffers, patching them once the
-//! predecessor's window resolves, and (c) serializes a [`SeekIndex`]
-//! (bit offset + window snapshot per checkpoint) so `decompress_at`
-//! random-accesses a member without inflating its prefix.
+//! `nx_core::parallel_inflate` (a) decodes multi-member gzip
+//! member-per-worker, (b) decodes every single stream on the serial
+//! core, and (c) serializes a [`SeekIndex`] (bit offset + window
+//! snapshot per checkpoint) so `decompress_at` random-accesses a member
+//! without inflating its prefix. A rapidgzip-style speculative
+//! single-member path once sat beside (b); it ran at 0.12–0.16× of the
+//! serial decode at every worker count on a 2-thread host, with a 50%
+//! chunk miss rate, and was removed.
 //!
 //! * **Part A** sweeps worker count × stream shape (single member /
-//!   multi-member) and reports decode MB/s against the serial walk,
-//!   plus the speculation miss rate and marker patch volume.
+//!   multi-member) and reports decode MB/s against the serial walk. The
+//!   single-member rows time the serial route, so they read ≈ 1.0×.
 //! * **Part B** prices random access: build-index cost, serialized
 //!   index size, and the latency of ranged reads at several depths —
-//!   each compared against what a prefix decode would have cost.
+//!   each against a timed prefix decode: an `Inflater` run from the
+//!   member's first block until `offset + len` bytes are out.
 //!
-//! Every parallel decode is verified byte-identical to the serial
-//! decode before its timing is reported. `run()` writes
-//! `BENCH_INFLATE_PAR.json`; `scripts/ci.sh` gates on the summary row's
-//! `multi_member_4w_mb_per_s` against the committed baseline.
+//! Every parallel decode, seek and prefix decode is verified
+//! byte-identical to the payload before its timing is reported. `run()`
+//! writes `BENCH_INFLATE_PAR.json`; `scripts/ci.sh` gates on the summary
+//! row's `multi_member_4w_mb_per_s` against the committed baseline, and
+//! on the two deep seek rows beating their prefix decode.
 //!
 //! Caveat: wall-clock speedup needs real cores. On a single-core host
 //! the sweep still validates correctness and counters, but speedups
@@ -29,12 +32,12 @@
 use super::MetricRow;
 use crate::{Table, SEED};
 use nx_core::{software, Format, ParallelInflateOptions, ParallelInflater};
-use nx_deflate::CompressionLevel;
+use nx_deflate::{gzip, CompressionLevel, Inflater};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One-line experiment title shown by `tables list`.
-pub const TITLE: &str = "Parallel inflate: speculative chunks, member fan-out, seek index";
+pub const TITLE: &str = "Parallel inflate: member fan-out, serial single streams, seek index";
 
 /// Where the machine-readable rows land (workspace root under
 /// `cargo run`). The CI gate parses the summary row of this file.
@@ -82,9 +85,6 @@ struct Measured {
     seeks: Vec<SeekCell>,
     serial_single_mb_per_s: f64,
     serial_multi_mb_per_s: f64,
-    /// misses / (chunks + misses) over the whole single-member sweep.
-    miss_rate: f64,
-    marker_patch_bytes: u64,
     index_build_ms: f64,
     index_bytes: usize,
     index_checkpoints: usize,
@@ -150,9 +150,6 @@ fn measured() -> &'static Measured {
         });
 
         let mut cells = Vec::new();
-        let mut chunks = 0u64;
-        let mut misses = 0u64;
-        let mut marker_patch_bytes = 0u64;
         for (shape, stream, t_serial) in [
             ("single-member", &single, t_single),
             ("multi-member", &multi, t_multi),
@@ -169,11 +166,6 @@ fn measured() -> &'static Measured {
                             .len(),
                     );
                 });
-                if shape == "single-member" {
-                    chunks += inf.stats().chunks_decoded();
-                    misses += inf.stats().speculation_misses();
-                    marker_patch_bytes += inf.stats().marker_patch_bytes();
-                }
                 cells.push(DecodeCell {
                     shape,
                     workers,
@@ -192,6 +184,8 @@ fn measured() -> &'static Measured {
         }) * 1e3;
         let index = index_opt.expect("index built");
         let index_bytes = index.to_bytes().len();
+        let (_, member_start) = gzip::parse_header(&single).expect("gzip header");
+        let member = &single[member_start..];
         let mut seeks = Vec::new();
         for (offset, len) in SEEKS {
             let out = inf
@@ -206,16 +200,29 @@ fn measured() -> &'static Measured {
                         .len(),
                 );
             }) * 1e6;
-            // What the same read costs without the index: decode the
-            // prefix serially, then slice.
-            let prefix_decode_us =
-                t_single * ((offset as f64 + len as f64) / payload.len() as f64) * 1e6;
+            // What the same read costs without the index: decode from
+            // the member's first block until the range is out, then slice.
+            let end = offset as usize + len;
+            let prefix_decode = || {
+                let mut inf = Inflater::new(member);
+                inf.reserve_output(end);
+                while !inf.is_finished() && inf.output().len() < end {
+                    inf.decode_block(usize::MAX).expect("prefix decode");
+                }
+                inf
+            };
+            let prefix_ok = prefix_decode().output().get(offset as usize..end)
+                == Some(&payload[offset as usize..end]);
+            all_identical &= prefix_ok;
+            let prefix_decode_us = best_of(|| {
+                std::hint::black_box(prefix_decode().output().len());
+            }) * 1e6;
             seeks.push(SeekCell {
                 offset,
                 len,
                 seek_us,
                 prefix_decode_us,
-                identical,
+                identical: identical && prefix_ok,
             });
         }
 
@@ -224,12 +231,6 @@ fn measured() -> &'static Measured {
             seeks,
             serial_single_mb_per_s: payload.len() as f64 / t_single / 1e6,
             serial_multi_mb_per_s: payload.len() as f64 / t_multi / 1e6,
-            miss_rate: if chunks + misses == 0 {
-                0.0
-            } else {
-                misses as f64 / (chunks + misses) as f64
-            },
-            marker_patch_bytes,
             index_build_ms,
             index_bytes,
             index_checkpoints: index.checkpoints().len(),
@@ -269,20 +270,14 @@ fn render_json(m: &Measured) -> String {
     }
     rows.push(format!(
         "  {{\"section\": \"summary\", \"serial_mb_per_s\": {:.3}, \
-         \"serial_multi_mb_per_s\": {:.3}, \
-         \"single_member_4w_mb_per_s\": {:.3}, \"multi_member_4w_mb_per_s\": {:.3}, \
-         \"speedup_single_4w\": {:.3}, \"speedup_multi_4w\": {:.3}, \
-         \"speculation_miss_rate\": {:.4}, \"marker_patch_bytes\": {}, \
-         \"index_build_ms\": {:.2}, \"index_bytes\": {}, \"index_checkpoints\": {}, \
+         \"serial_multi_mb_per_s\": {:.3}, \"multi_member_4w_mb_per_s\": {:.3}, \
+         \"speedup_multi_4w\": {:.3}, \"index_build_ms\": {:.2}, \"index_bytes\": {}, \
+         \"index_checkpoints\": {}, \
          \"host_threads\": {}, \"all_identical\": {}}}",
         m.serial_single_mb_per_s,
         m.serial_multi_mb_per_s,
-        cell_for(m, "single-member", 4).mb_per_s,
         cell_for(m, "multi-member", 4).mb_per_s,
-        cell_for(m, "single-member", 4).speedup,
         cell_for(m, "multi-member", 4).speedup,
-        m.miss_rate,
-        m.marker_patch_bytes,
         m.index_build_ms,
         m.index_bytes,
         m.index_checkpoints,
@@ -298,11 +293,6 @@ pub fn metrics() -> Vec<MetricRow> {
     vec![
         MetricRow::new("inflate_serial_mb_per_s", m.serial_single_mb_per_s, "MB/s"),
         MetricRow::new(
-            "single_member_4w_mb_per_s",
-            cell_for(m, "single-member", 4).mb_per_s,
-            "MB/s",
-        ),
-        MetricRow::new(
             "multi_member_4w_mb_per_s",
             cell_for(m, "multi-member", 4).mb_per_s,
             "MB/s",
@@ -312,7 +302,6 @@ pub fn metrics() -> Vec<MetricRow> {
             cell_for(m, "multi-member", 4).speedup,
             "ratio",
         ),
-        MetricRow::new("speculation_miss_rate", m.miss_rate, "ratio"),
         MetricRow::new("index_build_ms", m.index_build_ms, "us"),
         MetricRow::new("index_bytes", m.index_bytes as f64, "bytes"),
         MetricRow::new(
@@ -357,11 +346,11 @@ pub fn run() -> String {
 
     format!(
         "## E22 — {TITLE}\n\nHeadline: an {} MiB payload decodes serially at {:.1} MB/s; at \
-         4 workers the member-per-worker path runs at {:.1} MB/s ({:.2}x) and the speculative \
-         single-member path at {:.1} MB/s ({:.2}x, miss rate {:.1}%, {} marker bytes patched). \
+         4 workers the member-per-worker path runs at {:.1} MB/s ({:.2}x) and a single member \
+         takes the serial route at {:.1} MB/s ({:.2}x). \
          Host exposes {} thread(s) — speedups need real cores.\n\n{}\n\
          Seek index: {} checkpoints, {} KiB serialized, built in {:.1} ms (one serial decode). \
-         Ranged reads vs decoding the prefix serially:\n\n{}\n\
+         Ranged reads vs a timed prefix decode:\n\n{}\n\
          All outputs byte-identical to serial: {}.\n\n{json_note}\n",
         PAYLOAD_LEN >> 20,
         m.serial_single_mb_per_s,
@@ -369,8 +358,6 @@ pub fn run() -> String {
         cell_for(m, "multi-member", 4).speedup,
         cell_for(m, "single-member", 4).mb_per_s,
         cell_for(m, "single-member", 4).speedup,
-        m.miss_rate * 100.0,
-        m.marker_patch_bytes,
         m.host_threads,
         table.render(),
         m.index_checkpoints,
@@ -409,8 +396,6 @@ mod tests {
             }],
             serial_single_mb_per_s: 110.0,
             serial_multi_mb_per_s: 115.0,
-            miss_rate: 0.25,
-            marker_patch_bytes: 1 << 20,
             index_build_ms: 80.0,
             index_bytes: 300 << 10,
             index_checkpoints: 8,
@@ -422,7 +407,14 @@ mod tests {
         assert_eq!(json.matches("{\"section\"").count(), 10);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"multi_member_4w_mb_per_s\": 400.000"));
-        assert!(json.contains("\"speculation_miss_rate\": 0.2500"));
+        for gone in [
+            "single_member_4w_mb_per_s",
+            "speedup_single_4w",
+            "speculation_miss_rate",
+            "marker_patch_bytes",
+        ] {
+            assert!(!json.contains(gone), "{gone} is no longer reported");
+        }
         assert!(json.contains("\"all_identical\": true"));
         assert!(json.contains("\"serial_multi_mb_per_s\": 115.000"));
     }
@@ -439,7 +431,6 @@ mod tests {
         for workers in WORKERS {
             let inf = ParallelInflater::new(ParallelInflateOptions {
                 workers,
-                chunk_size: 32 << 10,
                 ..Default::default()
             });
             assert_eq!(

@@ -1149,14 +1149,14 @@ impl Nx {
     }
 
     /// A parallel inflater bound to this handle's counters, fault
-    /// injector and buffer pool. Construction is cheap — workers are
+    /// injector and telemetry sink. Construction is cheap — workers are
     /// scoped threads spawned per request.
     fn decode_inflater(&self) -> ParallelInflater {
         self.decode_inflater_with(ParallelInflateOptions::default())
     }
 
     /// Like [`Nx::decompress_parallel`] but with explicit decode options
-    /// (worker count, chunk size, checkpoint spacing) instead of the
+    /// (worker count, checkpoint spacing) instead of the
     /// host-derived defaults.
     ///
     /// # Errors
@@ -1180,14 +1180,13 @@ impl Nx {
             opts,
             Arc::clone(&self.decode_stats),
             self.faults.clone(),
-            Arc::clone(&self.pool),
             self.telemetry.clone(),
         )
     }
 
-    /// Decompresses `data` through the parallel inflate path (speculative
-    /// two-stage decode for large single streams, member-per-worker for
-    /// multi-member gzip), recording the traffic in this handle's
+    /// Decompresses `data` through the parallel inflate path
+    /// (member-per-worker for multi-member gzip, the serial core for
+    /// every other stream), recording the traffic in this handle's
     /// [`NxStats`]. Output is byte-identical to a serial inflate.
     ///
     /// # Errors

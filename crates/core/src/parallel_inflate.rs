@@ -1,35 +1,25 @@
 //! Parallel and seekable decompression — the decode-side companion to
 //! [`crate::parallel`].
 //!
-//! The NX engine made compression a shared many-client service, but a
-//! DEFLATE stream is serial by construction: every Huffman block may
+//! A DEFLATE stream is serial by construction: every Huffman block may
 //! reference the previous 32 KB of *output*, and block boundaries are not
-//! byte-aligned, so a reader cannot simply split the input. This module
-//! applies the two-stage speculative scheme of *rapidgzip*
-//! (arXiv 2308.08955) and *Massively-Parallel Lossless Data Decompression*
-//! (arXiv 1606.00519) to break that serial chain:
+//! byte-aligned. The NX unit accepts this — it decodes each stream
+//! serially at hardware speed and finds its parallelism across requests
+//! and accelerators, never inside one stream. This module follows the
+//! same split, with two decode routes:
 //!
-//! 1. **Boundary scan** — [`nx_deflate::BlockProbe`] probes bit offsets
-//!    near each chunk target until a position validates as a plausible
-//!    block start (stored-block length complement, or a fully consistent
-//!    dynamic Huffman header plus a short trial decode).
-//! 2. **Two-stage decode** — chunk 0 decodes normally; every later chunk
-//!    decodes through [`nx_deflate::MarkerInflater`] into a `u16` cell
-//!    buffer where back-references past the chunk's known history become
-//!    *markers*. Once the predecessor's trailing 32 KB window is resolved,
-//!    a cheap sequential patch pass ([`nx_deflate::resolve_markers_into`])
-//!    rewrites markers into bytes.
-//! 3. **Validation** — speculation is confirmed by *exact landing*: each
-//!    chunk's block walk must stop precisely on the next discovered
-//!    boundary, and the last chunk must terminate the stream; the container
-//!    checksum is verified at the end. Any anomaly — probe miss, decode
-//!    error, landing mismatch, checksum mismatch, injected fault — falls
-//!    back to the serial decoder, so output (and errors) are always
-//!    byte-identical to a serial inflate.
+//! 1. **Member fan-out** — a multi-member gzip stream (`gzip(1)` and
+//!    pigz concatenate freely) is cut at member headers found by a
+//!    magic-byte scan, and whole members decode member-per-worker. The
+//!    chain is validated by each member's recorded length; any break
+//!    (a false candidate that is never reached does not count, a failed
+//!    or killed member does) falls back to the serial member walk.
+//! 2. **Serial core** — everything else (one member, zlib, raw DEFLATE,
+//!    a single worker, malformed containers) goes straight to
+//!    [`ParallelInflater::decompress_serial`].
 //!
-//! Multi-member gzip streams take the easy road instead: member headers are
-//! found by magic-byte scan and whole members decode member-per-worker,
-//! chain-validated by their recorded lengths.
+//! Output and errors are therefore byte-identical to the serial decode
+//! on every input.
 //!
 //! The module also builds a serializable [`SeekIndex`] — a list of
 //! (bit offset, output offset, ≤32 KB window snapshot) checkpoints — so
@@ -38,43 +28,21 @@
 
 use crate::fault::FaultInjector;
 use crate::framing::{self, Format};
-use crate::scratch::BufferPool;
 use crate::{software, Error, Result};
 use nx_deflate::crc32::crc32;
-use nx_deflate::{
-    gzip, resolve_markers_into, BlockProbe, Error as DeflateError, Inflater, MarkerInflater,
-    WINDOW_SIZE,
-};
+use nx_deflate::{gzip, Error as DeflateError, Inflater, WINDOW_SIZE};
 use nx_telemetry::{MetricSource, MetricValue, Stage, TelemetrySink, TraceContext};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Modeled decode streaming rate for shard spans: 8 compressed bytes per
 /// cycle, matching the encode-side shard model. Decode span timelines are
-/// deterministic functions of chunk index and size, never wall clock.
+/// deterministic functions of member index and size, never wall clock.
 const DECODE_BYTES_PER_CYCLE: u64 = 8;
-
-/// Compressed bytes per speculative chunk when the caller does not say
-/// otherwise. Boundary probing costs ~a few µs per candidate bit, so
-/// chunks must be large enough to amortise the scan.
-const DEFAULT_CHUNK: usize = 256 * 1024;
 
 /// Output bytes between seek-index checkpoints (before rounding to block
 /// boundaries).
 const DEFAULT_CHECKPOINT_EVERY: usize = 1024 * 1024;
-
-/// Consecutive boundary-free chunk spans before the scanner gives up on
-/// the whole stream (blocks larger than two chunks make chunk-grained
-/// speculation pointless).
-const SCAN_GIVE_UP: usize = 2;
-
-/// Probe-budget multiplier: the scanner tries at most this many candidate
-/// bit offsets per payload *byte*. Tiling every span gaplessly costs 8
-/// probes per byte, so 16 leaves headroom; the budget is a backstop —
-/// pathological streams (e.g. one long fixed-Huffman block, which the
-/// probe deliberately never accepts) are cut off much earlier by the
-/// consecutive-empty-span give-up.
-const SCAN_BUDGET_PER_BYTE: u64 = 16;
 
 /// Upper bound on gzip member candidates considered for member-parallel
 /// decode; beyond this the O(candidates) parallel bookkeeping stops paying
@@ -90,12 +58,9 @@ const SEEK_INDEX_VERSION: u8 = 1;
 /// Tuning knobs for [`ParallelInflater`].
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelInflateOptions {
-    /// Worker threads for chunk / member decode. `1` disables speculation
-    /// and decodes serially.
+    /// Worker threads for gzip member fan-out. `1` decodes every stream
+    /// serially.
     pub workers: usize,
-    /// Compressed bytes per speculative chunk. Inputs shorter than two
-    /// chunks decode serially.
-    pub chunk_size: usize,
     /// Decompressed bytes between seek-index checkpoints (rounded up to
     /// the enclosing block boundary; at least one window).
     pub checkpoint_every: usize,
@@ -105,7 +70,6 @@ impl Default for ParallelInflateOptions {
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            chunk_size: DEFAULT_CHUNK,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
         }
     }
@@ -116,9 +80,6 @@ impl Default for ParallelInflateOptions {
 #[derive(Debug, Default)]
 pub struct InflateParStats {
     requests: AtomicU64,
-    chunks_decoded: AtomicU64,
-    speculation_misses: AtomicU64,
-    marker_patch_bytes: AtomicU64,
     members_parallel: AtomicU64,
     serial_fallbacks: AtomicU64,
     seek_index_hits: AtomicU64,
@@ -135,38 +96,44 @@ impl InflateParStats {
     counter_getters! {
         /// Decompression requests routed through the parallel path.
         requests,
-        /// Speculative chunks decoded (leader + marker chunks).
-        chunks_decoded,
-        /// Speculative attempts abandoned (probe miss, landing mismatch,
-        /// decode error, checksum mismatch or injected fault).
-        speculation_misses,
-        /// Marker cells rewritten to bytes by the patch pass.
-        marker_patch_bytes,
         /// gzip members decoded member-per-worker.
         members_parallel,
-        /// Requests that degraded to the serial decoder after a parallel
-        /// attempt.
+        /// Member fan-outs whose chain broke (a failed or killed member
+        /// worker, or a cut tail), degrading the request to the serial
+        /// member walk.
         serial_fallbacks,
         /// `decompress_at` calls served from a seek index.
         seek_index_hits,
         /// Total decompressed bytes produced.
         bytes_out,
     }
+
+    /// Always 0: speculative single-stream chunks have had no producer
+    /// since single streams moved to the serial core. Kept so existing
+    /// benchmark readers still compile; a later benchmark change drops it.
+    pub fn chunks_decoded(&self) -> u64 {
+        0
+    }
+
+    /// Always 0: no speculative attempts exist to miss since single
+    /// streams moved to the serial core. Kept so existing benchmark
+    /// readers still compile; a later benchmark change drops it.
+    pub fn speculation_misses(&self) -> u64 {
+        0
+    }
+
+    /// Always 0: the marker patch pass has had no producer since single
+    /// streams moved to the serial core. Kept so existing benchmark
+    /// readers still compile; a later benchmark change drops it.
+    pub fn marker_patch_bytes(&self) -> u64 {
+        0
+    }
 }
 
 impl MetricSource for InflateParStats {
     fn collect(&self, out: &mut Vec<(String, MetricValue)>) {
-        let counters: [(&str, u64); 8] = [
+        let counters: [(&str, u64); 5] = [
             ("nx_decode_parallel_requests_total", self.requests()),
-            ("nx_decode_parallel_chunks_total", self.chunks_decoded()),
-            (
-                "nx_decode_parallel_speculation_misses_total",
-                self.speculation_misses(),
-            ),
-            (
-                "nx_decode_parallel_marker_patch_bytes_total",
-                self.marker_patch_bytes(),
-            ),
             ("nx_decode_parallel_members_total", self.members_parallel()),
             (
                 "nx_decode_parallel_serial_fallbacks_total",
@@ -325,51 +292,6 @@ impl SeekIndex {
     }
 }
 
-/// Splits `len` compressed bytes into `chunk`-sized units for the shard
-/// span model; an empty input is one (empty) shard.
-fn chunk_sizes(len: usize, chunk: usize) -> Vec<usize> {
-    let chunk = chunk.max(1);
-    if len == 0 {
-        return vec![0];
-    }
-    let mut out = Vec::with_capacity(len.div_ceil(chunk));
-    let mut rest = len;
-    while rest > 0 {
-        let take = rest.min(chunk);
-        out.push(take);
-        rest -= take;
-    }
-    out
-}
-
-/// Outcome of a speculative single-stream attempt.
-enum Spec {
-    /// Speculation confirmed; the assembled output.
-    Done(Vec<u8>),
-    /// Attempted and failed — count a miss and fall back.
-    Miss,
-    /// Not worth attempting (too small, one worker, no boundaries probed).
-    NotAttempted,
-}
-
-/// Per-chunk worker result for the speculative path.
-enum ChunkResult {
-    /// Chunk 0: plain bytes from a known-history decode.
-    Leader {
-        bytes: Vec<u8>,
-        end_bit: u64,
-        finished: bool,
-    },
-    /// Chunk ≥ 1: marker cells awaiting the patch pass.
-    Spec {
-        cells: Vec<u16>,
-        end_bit: u64,
-        finished: bool,
-    },
-    /// Decode error or injected fault.
-    Failed,
-}
-
 /// The parallel + seekable decoder. Cheap to construct: workers are scoped
 /// threads spawned per request, borrowing the input slice.
 #[derive(Debug)]
@@ -377,7 +299,6 @@ pub struct ParallelInflater {
     opts: ParallelInflateOptions,
     stats: Arc<InflateParStats>,
     faults: Option<Arc<FaultInjector>>,
-    pool: Arc<BufferPool>,
     /// Span sink for traced decodes (disabled by default — the untraced
     /// paths never touch it).
     telemetry: TelemetrySink,
@@ -390,33 +311,28 @@ impl Default for ParallelInflater {
 }
 
 impl ParallelInflater {
-    /// Creates a decoder with fresh stats and a private buffer pool.
+    /// Creates a decoder with fresh stats.
     pub fn new(opts: ParallelInflateOptions) -> Self {
         Self::with_parts(
             opts,
             Arc::new(InflateParStats::default()),
             None,
-            Arc::new(BufferPool::default()),
             TelemetrySink::disabled(),
         )
     }
 
-    /// Creates a decoder sharing stats / faults / pool / sink with a
-    /// facade.
+    /// Creates a decoder sharing stats / faults / sink with a facade.
     pub(crate) fn with_parts(
         mut opts: ParallelInflateOptions,
         stats: Arc<InflateParStats>,
         faults: Option<Arc<FaultInjector>>,
-        pool: Arc<BufferPool>,
         telemetry: TelemetrySink,
     ) -> Self {
         opts.workers = opts.workers.max(1);
-        opts.chunk_size = opts.chunk_size.max(1024);
         Self {
             opts,
             stats,
             faults,
-            pool,
             telemetry,
         }
     }
@@ -426,11 +342,11 @@ impl ParallelInflater {
         &self.stats
     }
 
-    /// Decompresses `data`, using member-parallel decode for multi-member
-    /// gzip and speculative two-stage decode for large single streams.
+    /// Decompresses `data`: multi-member gzip with more than one worker
+    /// decodes member-per-worker, everything else on the serial core.
     ///
     /// Output is byte-identical to [`ParallelInflater::decompress_serial`]
-    /// on every input — any speculation anomaly falls back to the serial
+    /// on every input — a broken member chain falls back to the serial
     /// path, including for malformed streams, so errors match too.
     ///
     /// # Errors
@@ -446,10 +362,10 @@ impl ParallelInflater {
     }
 
     /// As [`decompress`](Self::decompress), inside the caller's trace:
-    /// each decode worker's chunk (or gzip member) lands as a `shard`
-    /// span on the request's modeled timeline under `ctx.parent_span`,
-    /// and any degradation to the serial reference is recorded as a
-    /// `fallback` span. Identical bytes either way.
+    /// each gzip member a worker decodes (or the whole stream, on the
+    /// serial route) lands as a `shard` span on the request's modeled
+    /// timeline under `ctx.parent_span`, and a broken member chain is
+    /// recorded as a `fallback` span. Identical bytes either way.
     ///
     /// # Errors
     ///
@@ -468,36 +384,39 @@ impl ParallelInflater {
         Ok(out)
     }
 
-    /// Emits one `shard` span per decode unit on the modeled round-robin
-    /// wave timeline (see the encode-side twin in [`crate::parallel`]).
-    /// `sizes` are the compressed bytes each unit consumed.
+    /// Emits one `shard` span per decode unit on the modeled timeline.
+    /// `sizes` are the compressed bytes each unit consumed; unit `i` runs
+    /// on worker `i % workers` (the fan-out's round-robin assignment),
+    /// starting when that worker's previous unit ends.
     fn emit_decode_shards(&self, ctx: Option<&TraceContext>, sizes: &[usize]) {
         let Some(ctx) = ctx else { return };
         if !ctx.sampled || !self.telemetry.is_enabled() {
             return;
         }
-        let workers = self.opts.workers.max(1) as u64;
-        let wave = (self.opts.chunk_size as u64 / DECODE_BYTES_PER_CYCLE).max(1);
+        let mut lane_at = vec![ctx.at_cycles; self.opts.workers.min(sizes.len()).max(1)];
+        let lanes = lane_at.len();
         for (i, &sz) in sizes.iter().enumerate() {
-            let start = ctx.at_cycles + (i as u64 / workers) * wave;
+            let lane = i % lanes;
             let dur = (sz as u64 / DECODE_BYTES_PER_CYCLE).max(1);
             self.telemetry.emit(
                 ctx.trace_id,
                 ctx.child_seq + i as u32,
                 ctx.parent_span,
                 Stage::Shard,
-                (i as u64 % workers) as u32,
-                start,
+                lane as u32,
+                lane_at[lane],
                 dur,
                 sz as u64,
                 0,
             );
+            lane_at[lane] += dur;
         }
     }
 
-    /// Emits a `fallback` span covering the serial re-decode. `detail`
-    /// says why: 1 = member chain broke, 2 = speculation miss.
-    fn emit_decode_fallback(&self, ctx: Option<&TraceContext>, bytes: u64, detail: u64) {
+    /// Emits a `fallback` span covering the serial re-decode. Its detail
+    /// is always 1, "member chain broke"; code 2 ("speculation miss") is
+    /// retired and never emitted.
+    fn emit_decode_fallback(&self, ctx: Option<&TraceContext>, bytes: u64) {
         let Some(ctx) = ctx else { return };
         if !ctx.sampled || !self.telemetry.is_enabled() {
             return;
@@ -512,7 +431,7 @@ impl ParallelInflater {
             ctx.at_cycles,
             dur,
             bytes,
-            detail,
+            1,
         );
     }
 
@@ -523,9 +442,9 @@ impl ParallelInflater {
         ctx: Option<&TraceContext>,
     ) -> Result<Vec<u8>> {
         let request = self.faults.as_ref().map_or(0, |f| f.begin_request());
-        if format == Format::Gzip {
+        if format == Format::Gzip && self.opts.workers > 1 {
             let cands = member_candidates(data);
-            if cands.len() > 1 && self.opts.workers > 1 && cands.len() <= MAX_MEMBER_CANDIDATES {
+            if cands.len() > 1 && cands.len() <= MAX_MEMBER_CANDIDATES {
                 if let Some(out) = self.members_parallel(data, &cands, request) {
                     // Member slice sizes from consecutive candidate
                     // offsets (the last member runs to end of input).
@@ -537,46 +456,13 @@ impl ParallelInflater {
                     self.emit_decode_shards(ctx, &sizes);
                     return Ok(out);
                 }
-                self.emit_decode_fallback(ctx, data.len() as u64, 1);
+                self.emit_decode_fallback(ctx, data.len() as u64);
                 return self.serial_fallback(data, format);
             }
         }
-        // Single DEFLATE stream (or single-member container): speculate.
-        let Ok(un) = framing::unwrap(data, format) else {
-            // Malformed container: let the serial reference produce the
-            // canonical error (or succeed where it is more permissive).
-            self.emit_decode_shards(ctx, &[data.len()]);
-            return self.decompress_serial(data, format);
-        };
-        match self.speculative(un.deflate_stream, request) {
-            Spec::Done(out) => {
-                if un.verify(&out).is_ok() {
-                    let sizes: Vec<usize> =
-                        chunk_sizes(un.deflate_stream.len(), self.opts.chunk_size);
-                    self.emit_decode_shards(ctx, &sizes);
-                    Ok(out)
-                } else {
-                    self.stats
-                        .speculation_misses
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.emit_decode_fallback(ctx, data.len() as u64, 2);
-                    self.serial_fallback(data, format)
-                }
-            }
-            Spec::Miss => {
-                self.stats
-                    .speculation_misses
-                    .fetch_add(1, Ordering::Relaxed);
-                self.emit_decode_fallback(ctx, data.len() as u64, 2);
-                self.serial_fallback(data, format)
-            }
-            Spec::NotAttempted => {
-                // Deliberate serial decode (small input / one worker):
-                // the whole stream is one shard.
-                self.emit_decode_shards(ctx, &[data.len()]);
-                self.decompress_serial(data, format)
-            }
-        }
+        // One stream (or one worker): the serial core, as one shard.
+        self.emit_decode_shards(ctx, &[data.len()]);
+        self.decompress_serial(data, format)
     }
 
     /// The serial reference decode: a member walk for gzip (multi-member
@@ -688,152 +574,6 @@ impl ParallelInflater {
             .members_parallel
             .fetch_add(chained, Ordering::Relaxed);
         Some(out)
-    }
-
-    // ---- speculative single-stream path -----------------------------
-
-    /// Attempts the two-stage speculative decode of one raw DEFLATE
-    /// stream.
-    fn speculative(&self, payload: &[u8], request: u64) -> Spec {
-        let chunk = self.opts.chunk_size;
-        if self.opts.workers < 2 || payload.len() < 2 * chunk {
-            return Spec::NotAttempted;
-        }
-        let Some(bounds) = scan_boundaries(payload, chunk) else {
-            return Spec::Miss;
-        };
-        let n_chunks = bounds.len() + 1;
-        let nthreads = self.opts.workers.min(n_chunks);
-        let collected: Vec<Vec<(usize, ChunkResult)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..nthreads)
-                .map(|w| {
-                    let bounds = &bounds;
-                    let inj = self.faults.clone();
-                    s.spawn(move || {
-                        let mut outs = Vec::new();
-                        let mut k = w;
-                        while k < n_chunks {
-                            let r = if inj
-                                .as_ref()
-                                .is_some_and(|j| j.worker_fault(request, k as u64))
-                            {
-                                ChunkResult::Failed
-                            } else {
-                                decode_chunk(payload, bounds, k)
-                            };
-                            outs.push((k, r));
-                            k += nthreads;
-                        }
-                        outs
-                    })
-                })
-                .collect();
-            handles.into_iter().filter_map(|h| h.join().ok()).collect()
-        });
-        let mut slots: Vec<Option<ChunkResult>> = Vec::new();
-        slots.resize_with(n_chunks, || None);
-        for group in collected {
-            for (k, r) in group {
-                slots[k] = Some(r);
-            }
-        }
-        // Sequential patch-and-repair pass. Invariant: `out` holds the
-        // exact serial output up to bit `cur_end` (always a true block
-        // boundary, since a decode walk from a true boundary only stops
-        // on true boundaries). A chunk splices only when it started
-        // exactly at the frontier; anything else — a chunk that began on
-        // a false-positive boundary, failed, or got overlapped by its
-        // predecessor's landing — is repaired by serially decoding just
-        // that span with the now-known window. Speculation misses
-        // therefore cost one chunk of serial work, not the whole stream.
-        let mut out: Vec<u8> = Vec::new();
-        let mut cur_end: u64 = 0;
-        let mut finished = false;
-        let mut spliced = 0u64;
-        let mut missed = 0u64;
-        let mut k = 0usize;
-        while k < n_chunks && !finished {
-            let start_k = if k == 0 { 0 } else { bounds[k - 1] };
-            if start_k < cur_end {
-                // Overlapped by the previous splice/repair: drop it.
-                missed += 1;
-                k += 1;
-                continue;
-            }
-            if start_k > cur_end {
-                // Gap before this chunk (its predecessor was dropped or
-                // landed short): close it serially.
-                match repair_to(payload, &mut out, cur_end, Some(start_k)) {
-                    Ok((end, fin)) => {
-                        cur_end = end;
-                        finished = fin;
-                        missed += 1;
-                        continue;
-                    }
-                    // A decode error on the true stream: bail to the
-                    // serial reference so the reported error is canonical.
-                    Err(_) => return Spec::Miss,
-                }
-            }
-            match slots[k].take() {
-                Some(ChunkResult::Leader {
-                    bytes,
-                    end_bit,
-                    finished: fin,
-                }) => {
-                    if out.is_empty() {
-                        out = bytes;
-                    } else {
-                        out.extend_from_slice(&bytes);
-                    }
-                    cur_end = end_bit;
-                    finished = fin;
-                    spliced += 1;
-                    k += 1;
-                }
-                Some(ChunkResult::Spec {
-                    cells,
-                    end_bit,
-                    finished: fin,
-                }) => {
-                    let wlo = out.len().saturating_sub(WINDOW_SIZE);
-                    let mut window = self.pool.acquire();
-                    window.extend_from_slice(&out[wlo..]);
-                    let resolved = resolve_markers_into(&cells, &window, &mut out);
-                    self.pool.release(window);
-                    match resolved {
-                        Ok(patched) => {
-                            self.stats
-                                .marker_patch_bytes
-                                .fetch_add(patched, Ordering::Relaxed);
-                            cur_end = end_bit;
-                            finished = fin;
-                            spliced += 1;
-                            k += 1;
-                        }
-                        // Marker cells inconsistent with the window —
-                        // cannot happen off a true boundary; bail safely.
-                        Err(_) => return Spec::Miss,
-                    }
-                }
-                // Worker failed (decode error or injected fault): skip;
-                // the gap check above repairs the span serially.
-                _ => {
-                    missed += 1;
-                    k += 1;
-                }
-            }
-        }
-        if !finished && repair_to(payload, &mut out, cur_end, None).is_err() {
-            return Spec::Miss;
-        }
-        self.stats
-            .chunks_decoded
-            .fetch_add(spliced, Ordering::Relaxed);
-        self.stats
-            .speculation_misses
-            .fetch_add(missed, Ordering::Relaxed);
-        Spec::Done(out)
     }
 
     // ---- seek index -------------------------------------------------
@@ -1044,176 +784,22 @@ fn member_candidates(data: &[u8]) -> Vec<usize> {
     cands
 }
 
-/// Probes for one block boundary per `chunk`-byte span, scanning the
-/// spans gaplessly so any boundary that exists is found. Returns `None`
-/// when the stream resists probing (fall back to serial).
-fn scan_boundaries(payload: &[u8], chunk: usize) -> Option<Vec<u64>> {
-    let mut probe = BlockProbe::new();
-    let mut bounds: Vec<u64> = Vec::new();
-    let mut misses = 0usize;
-    let mut budget = (payload.len() as u64).saturating_mul(SCAN_BUDGET_PER_BYTE);
-    let mut target = chunk;
-    // Leave at least half a chunk for the final worker.
-    while target + chunk / 2 < payload.len() {
-        let lo = (target as u64) * 8;
-        let hi = ((target + chunk).min(payload.len().saturating_sub(2)) as u64) * 8;
-        let mut bit = lo;
-        if let Some(&last) = bounds.last() {
-            if bit <= last {
-                bit = last + 1;
-            }
-        }
-        let mut found = None;
-        while bit < hi {
-            if budget == 0 {
-                return None;
-            }
-            budget -= 1;
-            if probe.probe(payload, bit) {
-                found = Some(bit);
-                break;
-            }
-            bit += 1;
-        }
-        match found {
-            Some(b) => {
-                bounds.push(b);
-                misses = 0;
-            }
-            None => {
-                misses += 1;
-                if misses >= SCAN_GIVE_UP {
-                    return None;
-                }
-            }
-        }
-        target += chunk;
-    }
-    if bounds.is_empty() {
-        None
-    } else {
-        Some(bounds)
-    }
-}
-
-/// Serially decodes from bit `from_bit` (a true block boundary) with the
-/// tail of `out` as window, stopping at the first block boundary at or
-/// past `until` (or at stream end when `None`), and appends the decoded
-/// bytes to `out`. Returns the landing bit and whether the stream
-/// finished.
-fn repair_to(
-    payload: &[u8],
-    out: &mut Vec<u8>,
-    from_bit: u64,
-    until: Option<u64>,
-) -> std::result::Result<(u64, bool), DeflateError> {
-    let base = (from_bit / 8) * 8;
-    let mut inf = Inflater::new_at(payload, from_bit)?;
-    if !out.is_empty() {
-        let wlo = out.len().saturating_sub(WINDOW_SIZE);
-        inf.prime_window(&out[wlo..]);
-    }
-    loop {
-        if inf.is_finished() {
-            break;
-        }
-        if let Some(t) = until {
-            if base + inf.bit_position() >= t {
-                break;
-            }
-        }
-        inf.decode_block(usize::MAX)?;
-    }
-    let end = base + inf.bit_position();
-    let fin = inf.is_finished();
-    out.extend_from_slice(inf.output());
-    Ok((end, fin))
-}
-
-/// Decodes chunk `k` of the speculative split: `[bounds[k-1], bounds[k])`
-/// in bit space (chunk 0 starts at bit 0; the last chunk runs to stream
-/// end). Chunk 0 decodes plainly; later chunks decode into marker cells.
-fn decode_chunk(payload: &[u8], bounds: &[u64], k: usize) -> ChunkResult {
-    let stop = bounds.get(k).copied();
-    if k == 0 {
-        let mut inf = Inflater::new(payload);
-        loop {
-            if inf.is_finished() {
-                break;
-            }
-            if let Some(sb) = stop {
-                if inf.bit_position() >= sb {
-                    break;
-                }
-            }
-            if inf.decode_block(usize::MAX).is_err() {
-                return ChunkResult::Failed;
-            }
-        }
-        let end_bit = inf.bit_position();
-        let finished = inf.is_finished();
-        ChunkResult::Leader {
-            bytes: inf.into_output(),
-            end_bit,
-            finished,
-        }
-    } else {
-        let mut inf = match MarkerInflater::new_at(payload, bounds[k - 1]) {
-            Ok(i) => i,
-            Err(_) => return ChunkResult::Failed,
-        };
-        loop {
-            if inf.is_finished() {
-                break;
-            }
-            if let Some(sb) = stop {
-                if inf.bit_position() >= sb {
-                    break;
-                }
-            }
-            if inf.decode_block(usize::MAX).is_err() {
-                return ChunkResult::Failed;
-            }
-        }
-        let end_bit = inf.bit_position();
-        let finished = inf.is_finished();
-        let (cells, _scratch) = inf.into_parts();
-        ChunkResult::Spec {
-            cells,
-            end_bit,
-            finished,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nx_deflate::CompressionLevel;
 
-    fn opts(workers: usize, chunk: usize) -> ParallelInflateOptions {
+    fn opts(workers: usize) -> ParallelInflateOptions {
         ParallelInflateOptions {
             workers,
-            chunk_size: chunk,
             checkpoint_every: 64 * 1024,
         }
     }
 
     fn corpus(n: usize) -> Vec<u8> {
         // Mixed text/binary: compresses a few-to-one, so streams span
-        // many DEFLATE blocks and speculation has boundaries to find.
+        // many DEFLATE blocks and the seek index has interior boundaries.
         nx_corpus::mixed(41, n)
-    }
-
-    #[test]
-    fn speculative_single_member_matches_serial() {
-        let data = corpus(1 << 20);
-        let gz = gzip::compress(&data, CompressionLevel::default());
-        let par = ParallelInflater::new(opts(4, 32 * 1024));
-        let out = par.decompress(&gz, Format::Gzip).unwrap();
-        assert_eq!(out, data);
-        assert!(par.stats().chunks_decoded() > 1, "speculation must engage");
-        assert!(par.stats().marker_patch_bytes() > 0);
     }
 
     #[test]
@@ -1237,15 +823,36 @@ mod tests {
     fn multi_member_parallel_matches_members_walk() {
         let mut stream = Vec::new();
         let mut expect = Vec::new();
-        for i in 0..8 {
-            let payload = corpus(10_000 + i * 777);
+        // Eight small members, then one 1 MiB member: a large single
+        // stream that one worker decodes whole on the serial core.
+        let big = corpus(1 << 20);
+        for i in 0..9 {
+            let payload = if i < 8 {
+                corpus(10_000 + i * 777)
+            } else {
+                big.clone()
+            };
             expect.extend_from_slice(&payload);
             stream.extend(gzip::compress(&payload, CompressionLevel::default()));
         }
-        let par = ParallelInflater::new(opts(4, 32 * 1024));
+        let par = ParallelInflater::new(opts(4));
         let out = par.decompress(&stream, Format::Gzip).unwrap();
         assert_eq!(out, expect);
-        assert_eq!(par.stats().members_parallel(), 8);
+        assert_eq!(par.stats().members_parallel(), 9);
+        assert_eq!(par.stats().serial_fallbacks(), 0);
+    }
+
+    #[test]
+    fn single_member_matches_serial() {
+        // One large member takes the serial route at any worker count:
+        // nothing fans out and nothing falls back.
+        let data = corpus(1 << 20);
+        let gz = gzip::compress(&data, CompressionLevel::default());
+        let par = ParallelInflater::new(opts(4));
+        let out = par.decompress(&gz, Format::Gzip).unwrap();
+        assert_eq!(out, data);
+        assert_eq!(out, par.decompress_serial(&gz, Format::Gzip).unwrap());
+        assert_eq!(par.stats().members_parallel(), 0);
         assert_eq!(par.stats().serial_fallbacks(), 0);
     }
 
@@ -1255,7 +862,7 @@ mod tests {
         let mut gz = gzip::compress(&data, CompressionLevel::default());
         let mid = gz.len() / 2;
         gz[mid] ^= 0xFF;
-        let par = ParallelInflater::new(opts(4, 16 * 1024));
+        let par = ParallelInflater::new(opts(4));
         let serial = par.decompress_serial(&gz, Format::Gzip);
         let parallel = par.decompress(&gz, Format::Gzip);
         assert_eq!(serial.is_err(), parallel.is_err());
@@ -1268,7 +875,7 @@ mod tests {
     fn seek_index_roundtrips_serialization() {
         let data = corpus(300_000);
         let gz = gzip::compress(&data, CompressionLevel::default());
-        let par = ParallelInflater::new(opts(2, 32 * 1024));
+        let par = ParallelInflater::new(opts(2));
         let idx = par.build_index(&gz, Format::Gzip).unwrap();
         assert!(idx.checkpoints().len() > 1, "expected interior checkpoints");
         let bytes = idx.to_bytes();
@@ -1284,7 +891,7 @@ mod tests {
     fn decompress_at_returns_correct_slices() {
         let data = corpus(400_000);
         let gz = gzip::compress(&data, CompressionLevel::default());
-        let par = ParallelInflater::new(opts(2, 32 * 1024));
+        let par = ParallelInflater::new(opts(2));
         let idx = par.build_index(&gz, Format::Gzip).unwrap();
         for (off, len) in [
             (0u64, 100usize),
@@ -1312,7 +919,7 @@ mod tests {
         stream.extend(gzip::compress(&b, CompressionLevel::default()));
         let mut expect = a.clone();
         expect.extend_from_slice(&b);
-        let par = ParallelInflater::new(opts(2, 32 * 1024));
+        let par = ParallelInflater::new(opts(2));
         let (out, idx) = par.decompress_indexed(&stream, Format::Gzip).unwrap();
         assert_eq!(out, expect);
         let got = par.decompress_at(&stream, &idx, 99_000, 3000).unwrap();
@@ -1322,7 +929,7 @@ mod tests {
     #[test]
     fn zlib_and_raw_paths_work() {
         let data = corpus(600_000);
-        let par = ParallelInflater::new(opts(4, 32 * 1024));
+        let par = ParallelInflater::new(opts(4));
         let zl = nx_deflate::zlib::compress(&data, CompressionLevel::default());
         assert_eq!(par.decompress(&zl, Format::Zlib).unwrap(), data);
         let raw = nx_deflate::deflate(&data, CompressionLevel::default());

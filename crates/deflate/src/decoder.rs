@@ -178,7 +178,7 @@ pub fn inflate_traced(data: &[u8]) -> Result<(Vec<u8>, Vec<BlockTrace>)> {
 
 /// The fixed-Huffman decode tables never change (RFC 1951 §3.2.6);
 /// build them once per process instead of per block.
-pub(crate) fn fixed_decode_tables() -> &'static (DecodeTable, DecodeTable) {
+fn fixed_decode_tables() -> &'static (DecodeTable, DecodeTable) {
     static TABLES: std::sync::OnceLock<(DecodeTable, DecodeTable)> = std::sync::OnceLock::new();
     TABLES.get_or_init(|| {
         match (
@@ -218,85 +218,6 @@ impl InflateScratch {
 /// input cannot force a large reservation.
 fn initial_capacity(input_len: usize) -> usize {
     input_len.saturating_mul(4).min(1 << 20)
-}
-
-/// Parses a dynamic-block header (HLIT/HDIST/HCLEN, the code-length code,
-/// and the run-length-encoded literal/distance lengths) from `reader` and
-/// rebuilds `scratch.litlen` / `scratch.dist` in place.
-///
-/// Shared by the regular [`Inflater`], the marker-mode decoder
-/// ([`crate::marker::MarkerInflater`]), and the speculative block-boundary
-/// probe — the header's internal consistency checks (alphabet bounds, the
-/// Kraft inequality via table construction, a present end-of-block code)
-/// are exactly what makes bit-offset probing for block starts reliable.
-pub(crate) fn read_dynamic_tables(
-    reader: &mut BitReader,
-    scratch: &mut InflateScratch,
-) -> Result<()> {
-    let hlit = reader.read_bits(5)? as usize + 257;
-    let hdist = reader.read_bits(5)? as usize + 1;
-    let hclen = reader.read_bits(4)? as usize + 4;
-    if hlit > 286 || hdist > 30 {
-        return Err(Error::InvalidCodeLengths);
-    }
-
-    let mut cl_lengths = [0u8; 19];
-    for &sym in CODELEN_ORDER.iter().take(hclen) {
-        cl_lengths[sym] = reader.read_bits(3)? as u8;
-    }
-    scratch.cl.rebuild_plain(&cl_lengths)?;
-
-    let total = hlit + hdist;
-    scratch.lengths.clear();
-    scratch.lengths.resize(total, 0);
-    let (cl_table, lengths) = (&scratch.cl, &mut scratch.lengths);
-    let mut i = 0usize;
-    while i < total {
-        let sym = cl_table.decode(reader)?;
-        match sym {
-            0..=15 => {
-                lengths[i] = sym as u8;
-                i += 1;
-            }
-            16 => {
-                if i == 0 {
-                    return Err(Error::RepeatWithoutPrevious);
-                }
-                let prev = lengths[i - 1];
-                let n = 3 + reader.read_bits(2)? as usize;
-                if i + n > total {
-                    return Err(Error::TooManyCodeLengths);
-                }
-                for _ in 0..n {
-                    lengths[i] = prev;
-                    i += 1;
-                }
-            }
-            17 => {
-                let n = 3 + reader.read_bits(3)? as usize;
-                if i + n > total {
-                    return Err(Error::TooManyCodeLengths);
-                }
-                i += n; // already zero
-            }
-            18 => {
-                let n = 11 + reader.read_bits(7)? as usize;
-                if i + n > total {
-                    return Err(Error::TooManyCodeLengths);
-                }
-                i += n;
-            }
-            _ => return Err(Error::InvalidSymbol),
-        }
-    }
-
-    // The literal/length alphabet must contain the end-of-block code.
-    if scratch.lengths[256] == 0 {
-        return Err(Error::InvalidCodeLengths);
-    }
-    scratch.litlen.rebuild_litlen(&scratch.lengths[..hlit])?;
-    scratch.dist.rebuild_dist(&scratch.lengths[hlit..])?;
-    Ok(())
 }
 
 /// Incremental inflate engine over a borrowed input slice.
@@ -563,8 +484,74 @@ impl<'a> Inflater<'a> {
         Ok(header_end)
     }
 
+    /// Parses a dynamic-block header (HLIT/HDIST/HCLEN, the code-length
+    /// code, and the run-length-encoded literal/distance lengths) and
+    /// rebuilds `scratch.litlen` / `scratch.dist` in place.
     fn read_dynamic_tables_into(&mut self, scratch: &mut InflateScratch) -> Result<()> {
-        read_dynamic_tables(&mut self.reader, scratch)
+        let hlit = self.reader.read_bits(5)? as usize + 257;
+        let hdist = self.reader.read_bits(5)? as usize + 1;
+        let hclen = self.reader.read_bits(4)? as usize + 4;
+        if hlit > 286 || hdist > 30 {
+            return Err(Error::InvalidCodeLengths);
+        }
+
+        let mut cl_lengths = [0u8; 19];
+        for &sym in CODELEN_ORDER.iter().take(hclen) {
+            cl_lengths[sym] = self.reader.read_bits(3)? as u8;
+        }
+        scratch.cl.rebuild_plain(&cl_lengths)?;
+
+        let total = hlit + hdist;
+        scratch.lengths.clear();
+        scratch.lengths.resize(total, 0);
+        let (cl_table, lengths) = (&scratch.cl, &mut scratch.lengths);
+        let mut i = 0usize;
+        while i < total {
+            let sym = cl_table.decode(&mut self.reader)?;
+            match sym {
+                0..=15 => {
+                    lengths[i] = sym as u8;
+                    i += 1;
+                }
+                16 => {
+                    if i == 0 {
+                        return Err(Error::RepeatWithoutPrevious);
+                    }
+                    let prev = lengths[i - 1];
+                    let n = 3 + self.reader.read_bits(2)? as usize;
+                    if i + n > total {
+                        return Err(Error::TooManyCodeLengths);
+                    }
+                    for _ in 0..n {
+                        lengths[i] = prev;
+                        i += 1;
+                    }
+                }
+                17 => {
+                    let n = 3 + self.reader.read_bits(3)? as usize;
+                    if i + n > total {
+                        return Err(Error::TooManyCodeLengths);
+                    }
+                    i += n; // already zero
+                }
+                18 => {
+                    let n = 11 + self.reader.read_bits(7)? as usize;
+                    if i + n > total {
+                        return Err(Error::TooManyCodeLengths);
+                    }
+                    i += n;
+                }
+                _ => return Err(Error::InvalidSymbol),
+            }
+        }
+
+        // The literal/length alphabet must contain the end-of-block code.
+        if scratch.lengths[256] == 0 {
+            return Err(Error::InvalidCodeLengths);
+        }
+        scratch.litlen.rebuild_litlen(&scratch.lengths[..hlit])?;
+        scratch.dist.rebuild_dist(&scratch.lengths[hlit..])?;
+        Ok(())
     }
 
     fn huffman_block(

@@ -36,12 +36,10 @@
 //! * [`crc32`] / [`adler32`] — the two checksums used by the containers.
 //! * [`huffman`] — canonical, length-limited prefix codes (package-merge)
 //!   and two-level decoding tables.
-//! * [`lz77`] — tokens, hash chains, greedy and lazy matchers.
+//! * [`lz77`] — tokens, the hash4 greedy/lazy matchers and the batched
+//!   speculative matcher.
 //! * [`encoder`] / [`decoder`] — the block-level DEFLATE encoder and the
 //!   full inflate state machine.
-//! * [`marker`] — the two-stage decoder behind speculative parallel
-//!   inflate: block-boundary probing and marker-mode decode with an
-//!   unknown 32 KB window.
 //! * [`gzip`] / [`zlib`] — the framing formats.
 
 pub mod adler32;
@@ -52,7 +50,6 @@ pub mod encoder;
 pub mod gzip;
 pub mod huffman;
 pub mod lz77;
-pub mod marker;
 pub mod profile;
 pub mod stream;
 pub mod zlib;
@@ -66,9 +63,6 @@ pub use encoder::{
     CompressionLevel, EncodeCounters, Encoder, Level, Strategy,
 };
 pub use lz77::{Engine, Token};
-pub use marker::{
-    probe_block_start, resolve_markers_into, BlockProbe, MarkerInflater, MARKER_BASE,
-};
 pub use profile::{
     deflate_canned, deflate_canned_into, profile_counters, Profile, ProfileCounters, ProfileId,
     ProfileRegistry,

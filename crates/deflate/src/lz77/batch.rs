@@ -56,10 +56,9 @@
 //!   coarse anchor per window.
 
 use super::cover::{resolve_cover, Candidate, CoverPicks, WINDOW_LANES};
-use super::hash::match_length;
 use super::hash4::{
-    hash3_value, hash4_value, index_end, index_history, Hash4Matcher, CHAIN_HIST_BUCKETS,
-    SPEC_COVER_BUCKETS, TOO_FAR,
+    hash3_value, hash4_value, index_end, index_history, match_length, Hash4Matcher,
+    CHAIN_HIST_BUCKETS, SPEC_COVER_BUCKETS, TOO_FAR,
 };
 use super::{MatcherConfig, Token};
 use crate::{MIN_MATCH, WINDOW_SIZE};

@@ -1,18 +1,17 @@
 //! Flat-array hash4 match finder — the compression hot path.
 //!
-//! This is the libdeflate-style successor to the zlib-style chains in
-//! [`super::hash`]: four-byte prefixes hash through one multiplicative
-//! mix into a `head` array of absolute positions, and a circular `prev`
-//! array of *backward u16 deltas* links same-hash positions into chains.
-//! Compared to the 3-byte/`u32`-link design it replaces:
+//! A libdeflate-style design: four-byte prefixes hash through one
+//! multiplicative mix into a `head` array of absolute positions, and a
+//! circular `prev` array of *backward u16 deltas* links same-hash
+//! positions into chains. Compared to zlib's 3-byte/`u32`-link chains:
 //!
 //! * a 4-byte hash key quarters the collision rate, so a chain walk of
 //!   the same budget inspects far fewer false candidates;
 //! * `prev` stores `u16` deltas (a window is 32 768 ≤ `u16::MAX`), halving
 //!   the table to 64 KB so it stays cache-resident;
 //! * the chain walk is an inline loop with a last-byte quick reject and
-//!   the shared u64-XOR extension ([`super::hash::match_length`]), not an
-//!   iterator;
+//!   the u64-XOR extension ([`match_length`], shared with the batch
+//!   engine and the accelerator's match-engine model), not an iterator;
 //! * an **insert-skip heuristic** detects incompressible runs (long
 //!   stretches with no match) and emits literals in growing steps without
 //!   searching or indexing, so random data stops paying for a dictionary
@@ -24,14 +23,13 @@
 //! * [`tokenize_fastest_into`] (level 1, [`crate::Level::Fastest`]) —
 //!   head-only greedy: one probe per position, no chain walk at all;
 //! * [`tokenize_greedy4_into`] (levels 2–3) — greedy with a bounded walk;
-//! * [`tokenize_lazy4_into`] (levels 4–9) — the one-token lazy deferral
-//!   state machine of [`super::lazy`] over the hash4 chains.
+//! * [`tokenize_lazy4_into`] (levels 4–9) — zlib's one-token lazy
+//!   deferral state machine (`deflate_slow`) over the hash4 chains.
 //!
 //! All three append per-search chain-walk lengths and lazy deferrals to
 //! local counters that the caller flushes into the process-wide encode
 //! telemetry (see [`crate::encoder::encode_counters`]).
 
-use super::hash::match_length;
 use super::{MatcherConfig, Token};
 use crate::{MAX_MATCH, MIN_MATCH, WINDOW_SIZE};
 
@@ -90,6 +88,40 @@ pub(super) fn hash3_value(v: u32) -> usize {
 fn hash3(data: &[u8], pos: usize) -> usize {
     let b = &data[pos..pos + 3];
     hash3_value(u32::from_le_bytes([b[0], b[1], b[2], 0]))
+}
+
+/// Eight little-endian bytes at `data[pos..]` as a `u64`.
+#[inline]
+fn read8(data: &[u8], pos: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&data[pos..pos + 8]);
+    u64::from_le_bytes(w)
+}
+
+/// Returns the length of the common prefix of `data[a..]` and `data[b..]`,
+/// capped at [`MAX_MATCH`] and at the end of input.
+///
+/// The u64-chunked compare + `trailing_zeros` extension is shared by the
+/// hash4 tokenizers here, the batch engine ([`super::batch`]) and the
+/// accelerator's match-engine model.
+#[inline]
+pub fn match_length(data: &[u8], a: usize, b: usize) -> usize {
+    debug_assert!(a < b);
+    let max = MAX_MATCH.min(data.len() - b);
+    let mut n = 0;
+    // Compare 8 bytes at a time; the XOR's trailing zero count locates
+    // the first differing byte without a per-byte loop.
+    while n + 8 <= max {
+        let diff = read8(data, a + n) ^ read8(data, b + n);
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    while n < max && data[a + n] == data[b + n] {
+        n += 1;
+    }
+    n
 }
 
 /// Buckets in the speculative cover histogram: a window of
@@ -617,6 +649,68 @@ mod tests {
     }
 
     #[test]
+    fn match_length_basic() {
+        let data = b"abcdefgh--abcdefgh";
+        assert_eq!(match_length(data, 0, 10), 8);
+        let data2 = b"aaaa";
+        assert_eq!(match_length(data2, 0, 1), 3);
+    }
+
+    #[test]
+    fn match_length_capped_at_max_match() {
+        let data = vec![7u8; 1000];
+        assert_eq!(match_length(&data, 0, 100), MAX_MATCH);
+    }
+
+    #[test]
+    fn match_length_capped_at_input_end() {
+        let data = b"abcabc";
+        assert_eq!(match_length(data, 0, 3), 3);
+    }
+
+    #[test]
+    fn match_length_long_divergence() {
+        let mut data = vec![5u8; 600];
+        data[300 + 123] = 9; // diverge after 123 bytes
+        assert_eq!(match_length(&data, 0, 300), 123);
+    }
+
+    #[test]
+    fn all_literals_for_unique_bytes() {
+        let data: Vec<u8> = (0..=255).collect();
+        for level in 1..=9 {
+            let tokens = tokenize(&data, level);
+            assert_eq!(tokens.len(), 256, "level {level}");
+            assert!(tokens.iter().all(|t| matches!(t, Token::Literal(_))));
+        }
+    }
+
+    #[test]
+    fn pending_match_at_eof_committed() {
+        // A deferred lazy match is still pending when the input ends.
+        let data = b"abcdXabcd";
+        for level in 4..=9 {
+            let tokens = tokenize(data, level);
+            assert_eq!(expand_tokens(&tokens), data, "level {level}");
+            assert!(tokens.iter().any(|t| matches!(t, Token::Match { .. })));
+        }
+    }
+
+    #[test]
+    fn higher_levels_never_worse_on_text() {
+        let data: Vec<u8> = std::iter::repeat_n(
+            &b"the quick brown fox jumps over the lazy dog. pack my box with five dozen liquor jugs. "[..],
+            50,
+        )
+        .flatten()
+        .copied()
+        .collect();
+        let t4 = tokenize(&data, 4).len();
+        let t9 = tokenize(&data, 9).len();
+        assert!(t9 <= t4, "level 9 ({t9}) worse than level 4 ({t4})");
+    }
+
+    #[test]
     fn empty_and_tiny_inputs_all_levels() {
         for level in 1..=9 {
             assert!(tokenize(b"", level).is_empty());
@@ -763,5 +857,140 @@ mod tests {
         assert!(stats.chain_hist.iter().sum::<u64>() > 0);
         // Second take is empty.
         assert_eq!(m.take_stats().chain_hist.iter().sum::<u64>(), 0);
+    }
+
+    // The cases below pin the sequential greedy (levels 2–3) and lazy
+    // (levels 4–9) tokenizers directly, bypassing engine routing.
+
+    fn greedy4(data: &[u8], level: u32) -> Vec<Token> {
+        let mut tokens = Vec::new();
+        let cfg = MatcherConfig::for_level(level);
+        tokenize_greedy4_into(data, 0, &cfg, &mut Hash4Matcher::new(), &mut tokens);
+        tokens
+    }
+
+    fn lazy4(data: &[u8], level: u32) -> Vec<Token> {
+        let mut tokens = Vec::new();
+        let cfg = MatcherConfig::for_level(level);
+        tokenize_lazy4_into(data, 0, &cfg, &mut Hash4Matcher::new(), &mut tokens);
+        tokens
+    }
+
+    #[test]
+    fn greedy4_empty_input() {
+        assert!(greedy4(b"", 2).is_empty());
+    }
+
+    #[test]
+    fn greedy4_tail_shorter_than_min_match_is_literal() {
+        assert_eq!(
+            greedy4(b"ab", 2),
+            vec![Token::Literal(b'a'), Token::Literal(b'b')]
+        );
+    }
+
+    #[test]
+    fn greedy4_finds_simple_repeat() {
+        let data = b"abcdefabcdef";
+        let tokens = greedy4(data, 2);
+        assert!(tokens
+            .iter()
+            .any(|t| matches!(t, Token::Match { len: 6, dist: 6 })));
+        assert_eq!(expand_tokens(&tokens), data);
+    }
+
+    #[test]
+    fn greedy4_run_length_via_overlap() {
+        let data = vec![b'z'; 300];
+        let tokens = greedy4(&data, 3);
+        assert_eq!(expand_tokens(&tokens), data);
+        // A run should compress to literal + a few overlapping matches.
+        assert!(tokens.len() <= 4, "run produced {} tokens", tokens.len());
+    }
+
+    #[test]
+    fn greedy4_roundtrips_arbitrary_data_all_levels() {
+        let mut data = Vec::new();
+        for i in 0..5000u32 {
+            data.push((i.wrapping_mul(2654435761) >> 13) as u8);
+            if i % 7 == 0 {
+                data.extend_from_slice(b"pattern");
+            }
+        }
+        for level in 1..=3 {
+            let tokens = greedy4(&data, level);
+            assert_eq!(expand_tokens(&tokens), data, "level {level}");
+            assert!(tokens.iter().all(Token::is_valid));
+        }
+    }
+
+    #[test]
+    fn lazy4_empty_and_tiny_inputs() {
+        assert!(lazy4(b"", 6).is_empty());
+        assert_eq!(
+            lazy4(b"ab", 6),
+            vec![Token::Literal(b'a'), Token::Literal(b'b')]
+        );
+    }
+
+    #[test]
+    fn lazy4_prefers_later_longer_match() {
+        let data = b"0abc1abcd__0abc1abcd__xabcdefgh+abcdefgh";
+        let lazy = lazy4(data, 9);
+        let greedy = greedy4(data, 9);
+        assert_eq!(expand_tokens(&lazy), data);
+        assert_eq!(expand_tokens(&greedy), data);
+        assert!(lazy.len() <= greedy.len());
+    }
+
+    #[test]
+    fn lazy4_roundtrips_structured_data_all_levels() {
+        let mut data = Vec::new();
+        for i in 0..3000u32 {
+            data.extend_from_slice(format!("key{}=value{};", i % 57, i % 13).as_bytes());
+        }
+        for level in 4..=9 {
+            let tokens = lazy4(&data, level);
+            assert_eq!(expand_tokens(&tokens), data, "level {level}");
+            assert!(tokens.iter().all(Token::is_valid));
+        }
+    }
+
+    #[test]
+    fn lazy4_roundtrips_pseudorandom_data() {
+        let mut x = 0x12345678u32;
+        let data: Vec<u8> = (0..10_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 7) as u8
+            })
+            .collect();
+        let tokens = lazy4(&data, 6);
+        assert_eq!(expand_tokens(&tokens), data);
+    }
+
+    #[test]
+    fn lazy4_long_run_compresses_tightly() {
+        let data = vec![b'r'; 10_000];
+        let tokens = lazy4(&data, 6);
+        assert_eq!(expand_tokens(&tokens), data);
+        assert!(tokens.len() < 60, "run produced {} tokens", tokens.len());
+    }
+
+    #[test]
+    fn search_ignores_candidate_outside_window() {
+        // Insert a position, then search from more than a window away:
+        // neither the hash4 chain nor the hash3 probe may return it.
+        let data = vec![b'q'; WINDOW_SIZE + 100];
+        let mut m = Hash4Matcher::new();
+        m.insert(&data, 0);
+        let pos = WINDOW_SIZE + 50;
+        let (first, first3) = m.insert_ret(&data, pos);
+        assert_eq!((first, first3), (1, 1), "position 0 heads both buckets");
+        let cfg = MatcherConfig::for_level(9);
+        let got = m.search(&data, pos, first, first3, &cfg, 0);
+        assert!(got.is_none(), "stale candidate {got:?} escaped the window");
     }
 }

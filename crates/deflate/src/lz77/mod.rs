@@ -9,10 +9,7 @@
 
 pub mod batch;
 pub mod cover;
-pub mod greedy;
-pub mod hash;
 pub mod hash4;
-pub mod lazy;
 
 use crate::{MAX_MATCH, MIN_MATCH};
 

@@ -5,10 +5,8 @@
 use nx_deflate::huffman::{build, canonical_codes, decode::roundtrip_symbols};
 use nx_deflate::lz77::batch::tokenize_speculative_into;
 use nx_deflate::lz77::cover::{resolve_cover, Candidate, CoverPicks, MIN_KEEP, WINDOW_LANES};
-use nx_deflate::lz77::hash4::Hash4Matcher;
-use nx_deflate::lz77::{
-    expand_tokens, greedy::tokenize_greedy, lazy::tokenize_lazy, MatcherConfig,
-};
+use nx_deflate::lz77::hash4::{tokenize_greedy4_into, tokenize_lazy4_into, Hash4Matcher};
+use nx_deflate::lz77::{expand_tokens, MatcherConfig, Token};
 use nx_deflate::{deflate, gzip, inflate, zlib, CompressionLevel, Encoder, Engine};
 use proptest::prelude::*;
 
@@ -32,6 +30,20 @@ fn structured_bytes() -> impl Strategy<Value = Vec<u8>> {
         0..24,
     )
     .prop_map(|chunks| chunks.concat())
+}
+
+/// Tokenizes `data` with the sequential hash4 matcher zlib would pick
+/// for `level`: greedy below level 4, lazy from level 4 on.
+fn sequential_tokens(data: &[u8], level: u32) -> Vec<Token> {
+    let cfg = MatcherConfig::for_level(level);
+    let mut m = Hash4Matcher::new();
+    let mut tokens = Vec::new();
+    if MatcherConfig::is_lazy_level(level) {
+        tokenize_lazy4_into(data, 0, &cfg, &mut m, &mut tokens);
+    } else {
+        tokenize_greedy4_into(data, 0, &cfg, &mut m, &mut tokens);
+    }
+    tokens
 }
 
 /// Strategy for a valid cover-resolver input: a window size and a set of
@@ -85,12 +97,7 @@ proptest! {
 
     #[test]
     fn tokenizers_are_lossless(data in structured_bytes(), level in 1u32..=9) {
-        let cfg = MatcherConfig::for_level(level);
-        let tokens = if MatcherConfig::is_lazy_level(level) {
-            tokenize_lazy(&data, &cfg)
-        } else {
-            tokenize_greedy(&data, &cfg)
-        };
+        let tokens = sequential_tokens(&data, level);
         prop_assert!(tokens.iter().all(|t| t.is_valid()));
         prop_assert_eq!(expand_tokens(&tokens), data);
     }
@@ -177,7 +184,8 @@ proptest! {
         // speculative parse must produce valid tokens that round-trip
         // too — both at the token level and through the full encoder.
         let cfg = MatcherConfig::for_level(level);
-        let greedy = tokenize_greedy(&data, &cfg);
+        let mut greedy = Vec::new();
+        tokenize_greedy4_into(&data, 0, &cfg, &mut Hash4Matcher::new(), &mut greedy);
         prop_assert_eq!(expand_tokens(&greedy), data.clone());
 
         let mut m = Hash4Matcher::new();

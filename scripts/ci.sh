@@ -43,9 +43,8 @@ echo "==> decode-path panic gate"
 DECODE_PATHS=(
     crates/deflate/src/decoder.rs
     crates/deflate/src/huffman/decode.rs
-    # The speculative parallel-inflate path feeds untrusted bit offsets
-    # and marker buffers through these.
-    crates/deflate/src/marker.rs
+    # Parallel inflate feeds untrusted member offsets and seek-index bit
+    # offsets through this.
     crates/core/src/parallel_inflate.rs
     crates/deflate/src/bitio.rs
     crates/deflate/src/gzip.rs
@@ -77,7 +76,6 @@ DECODE_PATHS=(
     # through these, so they carry the same no-panic contract.
     crates/deflate/src/encoder.rs
     crates/deflate/src/lz77/mod.rs
-    crates/deflate/src/lz77/hash.rs
     crates/deflate/src/lz77/hash4.rs
     # The batched speculative matcher is the default Fastest/Fast engine,
     # so arbitrary user input flows through its window walk and cover
@@ -205,8 +203,9 @@ if [[ "$FAST" == "0" ]]; then
     echo "==> parallel inflate gate (E22, regression bar 10%)"
     # Same pattern as E21: snapshot the committed 4-worker multi-member
     # decode throughput, rerun the sweep, fail on a >10% regression, and
-    # require every parallel decode (speculative chunks, member fan-out,
-    # seek-index reads) to have matched the serial bytes exactly.
+    # require every parallel decode (member fan-out, single streams on
+    # the serial core, seek-index reads, prefix decodes) to have matched
+    # the serial bytes exactly.
     pbaseline=$(awk -F'"section": "summary".*"multi_member_4w_mb_per_s": ' '/"section": "summary"/{split($2,a,","); print a[1]}' BENCH_INFLATE_PAR.json)
     cargo run --offline --release -p nx-bench --bin tables -- e22 > /dev/null
     pfresh=$(awk -F'"section": "summary".*"multi_member_4w_mb_per_s": ' '/"section": "summary"/{split($2,a,","); print a[1]}' BENCH_INFLATE_PAR.json)
@@ -231,6 +230,22 @@ if [[ "$FAST" == "0" ]]; then
     else
         echo "    no committed baseline found; recorded ${pfresh} MB/s"
     fi
+    # The seek index exists to beat a prefix decode: on the two deep
+    # rows (4 MiB and 8 MiB - 256 KiB) a ranged read through the index
+    # must cost less than decoding the member up to the range's end.
+    python3 - <<'EOF'
+import json
+
+with open("BENCH_INFLATE_PAR.json") as f:
+    rows = json.load(f)
+deep_offsets = (4 << 20, (8 << 20) - (256 << 10))
+deep = [r for r in rows if r["section"] == "seek" and r["offset"] in deep_offsets]
+assert len(deep) == 2, f"expected the two deep seek rows, found {len(deep)}"
+for r in deep:
+    print(f"    seek at {r['offset']}: {r['seek_us']} us vs prefix decode {r['prefix_decode_us']} us")
+    if not r["seek_us"] < r["prefix_decode_us"]:
+        raise SystemExit(f"==> FAIL: seek at offset {r['offset']} is no faster than a prefix decode")
+EOF
 
     echo "==> speculative matcher gate (E25, regression bar 10%)"
     # Snapshot the committed mixed-corpus speculative Fastest throughput,

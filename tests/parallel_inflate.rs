@@ -6,9 +6,10 @@
 //! is byte-identical to serial decompression on every input, including
 //! corrupt and truncated streams (same error, or same bytes — never a
 //! third behaviour); (2) multi-member gzip decodes member-per-worker at
-//! any worker count; (3) `decompress_at` through a `SeekIndex` returns
-//! exactly the bytes a full serial decode would place at that range,
-//! without decoding the prefix.
+//! any worker count, and single streams decode on the serial core;
+//! (3) `decompress_at` through a `SeekIndex` returns exactly the bytes a
+//! full serial decode would place at that range, without decoding the
+//! prefix.
 
 use nx_core::{software, Format, Nx, ParallelInflateOptions, ParallelInflater, SeekIndex};
 use nx_deflate::CompressionLevel;
@@ -18,7 +19,6 @@ const SEED: u64 = 0x5EEC_AB1E;
 fn inflater(workers: usize) -> ParallelInflater {
     ParallelInflater::new(ParallelInflateOptions {
         workers,
-        chunk_size: 32 * 1024,
         checkpoint_every: 64 * 1024,
     })
 }
@@ -58,9 +58,9 @@ fn multi_member_roundtrip_at_every_worker_count() {
 }
 
 #[test]
-fn speculative_single_member_matches_serial_on_corpora() {
-    // One large member per corpus flavour: the speculative chunked path
-    // must reproduce the serial bytes exactly, for every container.
+fn single_member_matches_serial_on_corpora() {
+    // One large member per corpus flavour: the single-stream route must
+    // reproduce the serial bytes exactly, for every container.
     for (seed, size) in [(SEED, 384 * 1024), (SEED ^ 0xFF, 1024 * 1024)] {
         let data = nx_corpus::mixed(seed, size);
         for format in [Format::Gzip, Format::Zlib, Format::RawDeflate] {
