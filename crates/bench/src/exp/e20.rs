@@ -24,9 +24,17 @@
 //! * **Part D** times `inflate_into` with a reused `InflateScratch` +
 //!   output buffer against the allocating one-shot on a repeated mixed
 //!   payload, isolating what the zero-allocation plumbing buys.
+//! * **Part E** feeds one level-6 mixed member to `InflateStream` in
+//!   pushes of 64 B, 512 B, 4 KiB and 1 MiB and times each against
+//!   one-shot `inflate` on the same member, interleaved best-of-3. Each
+//!   row carries the fast-path share of its own passes (counter deltas).
+//!   The streaming decoder suspends mid-block instead of re-decoding the
+//!   block on every push, so it should track the one-shot closely.
 //!
 //! `run()` writes `BENCH_KERNELS.json`; `scripts/ci.sh` gates on the
-//! summary row's `inflate_mb_per_s` against the committed baseline.
+//! summary row's `inflate_mb_per_s` against the committed baseline, and
+//! on Part E's same-run ratios: 4 KiB pushes ≥ 0.90× and 64 B pushes
+//! ≥ 0.33× the one-shot.
 
 use super::MetricRow;
 use crate::{Table, SEED};
@@ -34,6 +42,7 @@ use nx_corpus::CorpusKind;
 use nx_deflate::decoder::inflate_careful;
 use nx_deflate::{
     decode_path_counters, deflate, inflate, inflate_into, CompressionLevel, InflateScratch,
+    InflateStream,
 };
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -81,6 +90,23 @@ const REUSE_PASSES: usize = 7;
 /// Acceptance bar: mixed-corpus fast throughput over the PR 1 baseline.
 const BAR_SPEEDUP: f64 = 1.5;
 
+/// Part E member: 4 MiB of mixed corpus at level 6, the shape the
+/// benchmark's streaming gunzip decodes.
+const STREAM_LEN: usize = 4 << 20;
+
+/// Part E push sizes, from a byte-trickling socket to bulk reads.
+const PUSH_SIZES: [usize; 4] = [64, 512, 4 << 10, 1 << 20];
+
+/// One Part E row: streaming at one push size vs the one-shot.
+struct StreamCell {
+    push_bytes: usize,
+    stream_mb_per_s: f64,
+    /// Fraction of this row's Huffman-decoded bytes the fast loop made.
+    fast_path_share: f64,
+    /// Concatenated pushes equal the one-shot output.
+    identical: bool,
+}
+
 /// One corpus class's kernel row.
 struct Cell {
     corpus: &'static str,
@@ -108,6 +134,10 @@ struct Measured {
     /// Fractional throughput gain of scratch reuse over the allocating
     /// one-shot (0.10 = reuse is 10% faster).
     reuse_gain: f64,
+    /// Part E: one-shot throughput on the streamed member, and one row
+    /// per push size.
+    oneshot_mb_per_s: f64,
+    stream: Vec<StreamCell>,
     all_identical: bool,
 }
 
@@ -142,6 +172,57 @@ fn reuse_gain() -> f64 {
         }));
     }
     fresh / reuse - 1.0
+}
+
+/// Decodes `comp` through `InflateStream` in pushes of `push` bytes,
+/// returning the concatenated output.
+fn stream_decode(comp: &[u8], push: usize) -> Vec<u8> {
+    let mut dec = InflateStream::new();
+    let mut out = Vec::new();
+    for piece in comp.chunks(push) {
+        out.extend_from_slice(&dec.push(piece).expect("valid stream"));
+    }
+    dec.finish().expect("complete stream");
+    out
+}
+
+/// Part E: every push size against the one-shot on one level-6 mixed
+/// member, interleaved best-of-[`PASSES`]. Returns the one-shot MB/s and
+/// the rows.
+fn stream_sweep() -> (f64, Vec<StreamCell>) {
+    let data = nx_corpus::mixed(SEED, STREAM_LEN);
+    let comp = deflate(&data, CompressionLevel::new(6).expect("level 6 is valid"));
+    let mut oneshot = f64::INFINITY;
+    let mut best = [f64::INFINITY; PUSH_SIZES.len()];
+    let mut counted = [(0u64, 0u64); PUSH_SIZES.len()];
+    for _ in 0..PASSES {
+        oneshot = oneshot.min(timed(|| {
+            std::hint::black_box(inflate(&comp).expect("valid stream").len());
+        }));
+        for (i, &push) in PUSH_SIZES.iter().enumerate() {
+            let (f0, c0) = decode_path_counters();
+            best[i] = best[i].min(timed(|| {
+                let mut dec = InflateStream::new();
+                for piece in comp.chunks(push) {
+                    std::hint::black_box(dec.push(piece).expect("valid stream").len());
+                }
+            }));
+            let (f1, c1) = decode_path_counters();
+            counted[i].0 += f1 - f0;
+            counted[i].1 += c1 - c0;
+        }
+    }
+    let rows = PUSH_SIZES
+        .iter()
+        .enumerate()
+        .map(|(i, &push)| StreamCell {
+            push_bytes: push,
+            stream_mb_per_s: data.len() as f64 / best[i] / 1e6,
+            fast_path_share: counted[i].0 as f64 / (counted[i].0 + counted[i].1).max(1) as f64,
+            identical: stream_decode(&comp, push) == data,
+        })
+        .collect();
+    (data.len() as f64 / oneshot / 1e6, rows)
 }
 
 /// Part A: best-of-[`PASSES`] fast inflate on the PR 1 mixed workload.
@@ -214,6 +295,8 @@ fn measured() -> &'static Measured {
         }
 
         let decoded = (fast_bytes + careful_bytes).max(1);
+        let (oneshot_mb_per_s, stream) = stream_sweep();
+        all_identical &= stream.iter().all(|c| c.identical);
         Measured {
             cells,
             mixed_mb_per_s: mixed_throughput(),
@@ -222,6 +305,8 @@ fn measured() -> &'static Measured {
             deflate_mb_per_s: plain_total as f64 / deflate_t / 1e6,
             fast_path_share: fast_bytes as f64 / decoded as f64,
             reuse_gain: reuse_gain(),
+            oneshot_mb_per_s,
+            stream,
             all_identical,
         }
     })
@@ -230,6 +315,15 @@ fn measured() -> &'static Measured {
 /// Headline speedup: mixed-corpus fast decode vs the PR 1 baseline.
 fn speedup_vs_pr1(m: &Measured) -> f64 {
     m.mixed_mb_per_s / PR1_BASELINE_MB_PER_S
+}
+
+/// Part E: streaming throughput at `push` bytes over the one-shot (0 if
+/// the size was not swept).
+fn stream_vs_oneshot(m: &Measured, push: usize) -> f64 {
+    m.stream
+        .iter()
+        .find(|c| c.push_bytes == push)
+        .map_or(0.0, |c| c.stream_mb_per_s / m.oneshot_mb_per_s)
 }
 
 /// Renders the machine-readable kernel rows ([`JSON_PATH`]).
@@ -252,6 +346,19 @@ fn render_kernels_json(m: &Measured) -> String {
             )
         })
         .collect();
+    rows.extend(m.stream.iter().map(|c| {
+        format!(
+            "  {{\"section\": \"stream\", \"push_bytes\": {}, \"stream_mb_per_s\": {:.3}, \
+             \"oneshot_mb_per_s\": {:.3}, \"vs_oneshot\": {:.3}, \"fast_path_pct\": {:.2}, \
+             \"identical\": {}}}",
+            c.push_bytes,
+            c.stream_mb_per_s,
+            m.oneshot_mb_per_s,
+            c.stream_mb_per_s / m.oneshot_mb_per_s,
+            c.fast_path_share * 100.0,
+            c.identical
+        )
+    }));
     rows.push(format!(
         "  {{\"section\": \"summary\", \"inflate_mb_per_s\": {:.3}, \
          \"careful_mb_per_s\": {:.3}, \"deflate_mb_per_s\": {:.3}, \
@@ -281,6 +388,13 @@ pub fn metrics() -> Vec<MetricRow> {
         MetricRow::new("deflate_mb_per_s", m.deflate_mb_per_s, "MB/s"),
         MetricRow::new("fast_path_pct", m.fast_path_share * 100.0, "percent"),
         MetricRow::new("reuse_gain_pct", m.reuse_gain * 100.0, "percent"),
+        MetricRow::new("oneshot_mb_per_s", m.oneshot_mb_per_s, "MB/s"),
+        MetricRow::new(
+            "stream_4k_vs_oneshot",
+            stream_vs_oneshot(m, 4 << 10),
+            "ratio",
+        ),
+        MetricRow::new("stream_64_vs_oneshot", stream_vs_oneshot(m, 64), "ratio"),
         MetricRow::new(
             "outputs_identical",
             f64::from(u8::from(m.all_identical)),
@@ -314,6 +428,23 @@ pub fn run() -> String {
         ]);
     }
 
+    let mut stream_table = Table::new(vec![
+        "push",
+        "stream MB/s",
+        "vs one-shot",
+        "fast path",
+        "identical",
+    ]);
+    for c in &m.stream {
+        stream_table.row(vec![
+            format!("{} B", c.push_bytes),
+            format!("{:.1}", c.stream_mb_per_s),
+            format!("{:.2}x", c.stream_mb_per_s / m.oneshot_mb_per_s),
+            format!("{:.1}%", c.fast_path_share * 100.0),
+            c.identical.to_string(),
+        ]);
+    }
+
     let json = render_kernels_json(m);
     let json_note = match std::fs::write(JSON_PATH, &json) {
         Ok(()) => format!("kernel rows written to `{JSON_PATH}`"),
@@ -330,7 +461,9 @@ pub fn run() -> String {
          Superloop produced {:.1}% of decoded bytes during the fast passes \
          (process counters, exported as `nx_inflate_fast_path_bytes_total`). \
          Scratch reuse (`inflate_into`, {REUSE_REPS}x 16 KiB mixed payload) runs \
-         {:+.1}% vs the allocating one-shot.\n\n{json_note}\n",
+         {:+.1}% vs the allocating one-shot.\n\n\
+         Streaming (`InflateStream`, {} MiB level-6 mixed member, one-shot {:.1} MB/s):\n\n\
+         {}\n{json_note}\n",
         MIXED_LEN >> 20,
         m.mixed_mb_per_s,
         speedup_vs_pr1(m),
@@ -342,6 +475,9 @@ pub fn run() -> String {
         table.render(),
         m.fast_path_share * 100.0,
         m.reuse_gain * 100.0,
+        STREAM_LEN >> 20,
+        m.oneshot_mb_per_s,
+        stream_table.render(),
     )
 }
 
@@ -360,6 +496,15 @@ mod tests {
             let careful = inflate_careful(&comp).expect("careful decode");
             assert_eq!(fast, careful, "decoder divergence on {}", kind.name());
             assert_eq!(fast, data, "roundtrip mismatch on {}", kind.name());
+        }
+    }
+
+    #[test]
+    fn stream_pushes_match_one_shot() {
+        let data = nx_corpus::mixed(SEED, 256 << 10);
+        let comp = deflate(&data, CompressionLevel::new(6).expect("valid"));
+        for push in PUSH_SIZES {
+            assert!(stream_decode(&comp, push) == data, "push {push}");
         }
     }
 
@@ -392,11 +537,21 @@ mod tests {
             deflate_mb_per_s: 40.0,
             fast_path_share: 0.97,
             reuse_gain: 0.08,
+            oneshot_mb_per_s: 400.0,
+            stream: vec![StreamCell {
+                push_bytes: 4096,
+                stream_mb_per_s: 380.0,
+                fast_path_share: 0.95,
+                identical: true,
+            }],
             all_identical: true,
         };
         let json = render_kernels_json(&m);
         assert!(json.starts_with("[\n") && json.ends_with("]\n"));
-        assert_eq!(json.matches("{\"section\"").count(), 2);
+        assert_eq!(json.matches("{\"section\"").count(), 3);
+        assert!(json.contains("\"push_bytes\": 4096"));
+        assert!(json.contains("\"vs_oneshot\": 0.950"));
+        assert_eq!(stream_vs_oneshot(&m, 4096), 0.95);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"inflate_mb_per_s\": 700.000"));
         assert!(json.contains("\"speedup_vs_pr1\": 2.000"));

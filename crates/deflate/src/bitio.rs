@@ -273,6 +273,30 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
+    /// Appends up to `max` whole bytes to `out` and returns how many it
+    /// appended — fewer only when the input runs out. The reader must be
+    /// byte-aligned (buffered whole bytes are drained first).
+    pub(crate) fn read_bytes_upto(&mut self, out: &mut Vec<u8>, max: usize) -> usize {
+        debug_assert_eq!(self.nbits % 8, 0, "read_bytes_upto requires byte alignment");
+        let mut n = 0;
+        while n < max && self.nbits >= 8 {
+            out.push((self.acc & 0xFF) as u8);
+            self.acc >>= 8;
+            self.nbits -= 8;
+            n += 1;
+        }
+        if n < max {
+            // The accumulator is empty; drop its look-ahead copies of the
+            // bytes at `pos` before reading the slice directly.
+            self.acc = 0;
+            let take = (max - n).min(self.data.len() - self.pos);
+            out.extend_from_slice(&self.data[self.pos..self.pos + take]);
+            self.pos += take;
+            n += take;
+        }
+        n
+    }
+
     /// Total bits consumed from the underlying slice so far.
     pub fn bits_consumed(&self) -> u64 {
         self.pos as u64 * 8 - u64::from(self.nbits)
@@ -313,6 +337,14 @@ impl<'a> BitReader<'a> {
         self.acc = acc;
         self.nbits = nbits;
         self.pos = pos;
+    }
+
+    /// Returns to a position saved earlier with
+    /// [`fast_state`](Self::fast_state) — how the inflate core backs out
+    /// of a header or token the input ended inside.
+    #[inline]
+    pub(crate) fn rewind(&mut self, (acc, nbits, pos): (u64, u32, usize)) {
+        self.set_fast_state(acc, nbits, pos);
     }
 }
 

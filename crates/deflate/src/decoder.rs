@@ -1,22 +1,38 @@
-//! The inflate decoder: a complete RFC 1951 state machine.
+//! The inflate decoder: one resumable RFC 1951 state machine.
 //!
-//! [`inflate`] decodes a whole raw-DEFLATE stream; [`Inflater`] exposes the
-//! block-by-block machinery (used by the containers and by tests that probe
-//! individual malformed constructs). Every producer in this workspace —
+//! Every decode in the workspace runs on [`InflateCore`]: one-shot
+//! [`inflate`] and its `_into`/`_with_dict` variants, the gzip and zlib
+//! containers, the seek index ([`Inflater::new_at`] +
+//! [`Inflater::decode_block`]) and the push-based
+//! [`crate::stream::InflateStream`]. Every producer in this workspace —
 //! software levels 0–9 and both accelerator modes — is validated against
 //! this decoder, and the decoder itself is validated against hand-built
 //! known-answer vectors.
 //!
+//! # Suspension
+//!
+//! The core is a four-phase state machine: block header, stored body
+//! (bytes remaining), Huffman body (tables held in [`InflateScratch`]),
+//! and done. It can stop at any token. When the input runs out, the
+//! careful loop rewinds the reader to the first bit of the header or
+//! token that did not fit and reports [`Progress::NeedInput`] instead of
+//! an error, so a streaming caller keeps fewer than 8 leftover bits plus
+//! the unconsumed tail bytes and resumes from there. A dynamic header
+//! that straddles two inputs is re-parsed from its first bit (RFC 1951
+//! bounds it under 600 bytes); a block body is never re-decoded. A caller
+//! that hands over its whole input turns `NeedInput` into
+//! [`Error::UnexpectedEof`].
+//!
 //! # The superloop
 //!
-//! Decoding runs on two cooperating paths:
+//! Huffman bodies decode on two cooperating paths:
 //!
-//! * a **fast loop** ([`Inflater::fast_loop`]) that runs while ≥ 16 input
-//!   bytes and ≥ 274 bytes of output slack remain — the bit accumulator
-//!   lives in a local, one wide refill serves up to two literals or a
-//!   whole length+distance token, and match copies go 8 bytes at a time
-//!   rounding up into the slack region. One pre-merged table lookup
-//!   (see [`crate::huffman::decode`]) yields action, base value, extra-bit
+//! * a **fast loop** ([`fast_loop`]) that runs while ≥ 16 input bytes and
+//!   ≥ 274 bytes of output slack remain — the bit accumulator lives in a
+//!   local, one wide refill serves up to two literals or a whole
+//!   length+distance token, and match copies go 8 bytes at a time
+//!   rounding up into the slack region. One pre-merged table lookup (see
+//!   [`crate::huffman::decode`]) yields action, base value, extra-bit
 //!   count and consumed bits together — the software analogue of the
 //!   hardware's one-lookup-per-cycle decode pipeline;
 //! * a **careful loop** that decodes one token at a time with precise
@@ -34,7 +50,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::bitio::BitReader;
 use crate::encoder::{fixed_dist_lengths, fixed_litlen_lengths, CODELEN_ORDER};
 use crate::huffman::decode::{m_consumed, m_extra, m_payload, DecodeTable, M_EOB, M_EXC, M_LIT};
-use crate::{Error, Result};
+use crate::lz77::Token;
+use crate::{Error, Result, WINDOW_SIZE};
 
 /// Bytes produced by the fast inflate loop, process-wide.
 static FAST_PATH_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -102,12 +119,7 @@ pub fn inflate_careful(data: &[u8]) -> Result<Vec<u8>> {
 ///
 /// As [`inflate`].
 pub fn inflate_into(data: &[u8], scratch: &mut InflateScratch, out: &mut Vec<u8>) -> Result<()> {
-    let mut inf = Inflater::with_reuse(data, std::mem::take(scratch), std::mem::take(out));
-    let res = inf.run(usize::MAX);
-    let (o, s) = inf.into_parts();
-    *scratch = s;
-    *out = o;
-    res
+    inflate_with_dict_into(data, &[], scratch, out)
 }
 
 /// Per-block structural record collected when tracing is enabled — the
@@ -120,7 +132,7 @@ pub struct BlockTrace {
     /// dynamic blocks, the whole code-length stream).
     pub header_bits: u64,
     /// Decoded tokens (empty for stored blocks).
-    pub tokens: Vec<crate::lz77::Token>,
+    pub tokens: Vec<Token>,
     /// Uncompressed bytes this block produced.
     pub output_bytes: u64,
     /// Total bits of the block including the header.
@@ -153,13 +165,30 @@ pub fn inflate_with_dict_into(
     scratch: &mut InflateScratch,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    let mut inf = Inflater::with_reuse(data, std::mem::take(scratch), std::mem::take(out));
+    inflate_reusing(data, dict, 0, scratch, out).map(|_| ())
+}
+
+/// Decodes `data` (primed with `dict`) into `out`, reusing `scratch`, and
+/// returns the input bytes the stream occupied — the shared body of every
+/// `_into` entry point, containers included. `hint` is an advisory output
+/// size (see [`Inflater::reserve_output`]).
+pub(crate) fn inflate_reusing(
+    data: &[u8],
+    dict: &[u8],
+    hint: usize,
+    scratch: &mut InflateScratch,
+    out: &mut Vec<u8>,
+) -> Result<usize> {
+    let mut inf = Inflater {
+        reader: BitReader::new(data),
+        core: InflateCore::new(std::mem::take(scratch), std::mem::take(out)),
+    };
     inf.prime_window(dict);
+    inf.reserve_output(hint);
     let res = inf.run(usize::MAX);
-    let (o, s) = inf.into_parts();
-    *scratch = s;
-    *out = o;
-    res
+    let used = inf.byte_position();
+    (*out, *scratch) = inf.core.into_parts();
+    res.map(|()| used)
 }
 
 /// Decodes a raw DEFLATE stream while recording the per-block structure —
@@ -197,7 +226,8 @@ fn fixed_decode_tables() -> &'static (DecodeTable, DecodeTable) {
 /// table, and the code-length staging vector. Holding one of these across
 /// requests makes dynamic-block table construction allocation-free in
 /// steady state (tables rebuild in place; see
-/// [`DecodeTable::rebuild_litlen`]).
+/// [`DecodeTable::rebuild_litlen`]). Between two inputs of a suspended
+/// stream it also holds the current dynamic block's tables.
 #[derive(Debug, Default)]
 pub struct InflateScratch {
     pub(crate) litlen: DecodeTable,
@@ -220,17 +250,615 @@ fn initial_capacity(input_len: usize) -> usize {
     input_len.saturating_mul(4).min(1 << 20)
 }
 
-/// Incremental inflate engine over a borrowed input slice.
+/// Where the block-level state machine stands between two decode calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// At a block boundary: the next bits are a block header.
+    Header,
+    /// Inside a stored block with `remaining` body bytes still to copy.
+    Stored { remaining: usize },
+    /// Inside a Huffman-coded block: the RFC 1951 fixed tables when
+    /// `fixed`, else the dynamic tables in [`InflateScratch`].
+    Huffman { fixed: bool },
+    /// The final block has ended.
+    Done,
+}
+
+/// Why [`InflateCore::decode`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Progress {
+    /// The final block has ended.
+    Done,
+    /// A non-final block ended (only when asked to stop there).
+    BlockEnd,
+    /// The input ran out. The reader sits at the first bit of the header
+    /// or token that did not fit; every byte decoded so far is in the
+    /// output buffer.
+    NeedInput,
+}
+
+/// Per-block bookkeeping while structural tracing is on. Bit positions
+/// are the reader's.
+#[derive(Debug, Default)]
+struct TraceState {
+    blocks: Vec<BlockTrace>,
+    start_bits: u64,
+    header_end_bits: u64,
+    /// Decoded bytes before the current block.
+    out_start: u64,
+    tokens: Vec<Token>,
+}
+
+/// The resumable inflate engine. It owns no input: each
+/// [`decode`](Self::decode) call walks a caller's [`BitReader`] as far as
+/// it goes and leaves the phase, the tables and the output window behind
+/// for the next call.
+#[derive(Debug)]
+pub(crate) struct InflateCore {
+    phase: Phase,
+    /// BFINAL of the block being decoded.
+    last_block: bool,
+    /// Any preset dictionary, then the decoded bytes. Match sources index
+    /// it directly; a streaming caller trims its front down to the window
+    /// with [`compact`](Self::compact).
+    pub(crate) out: Vec<u8>,
+    /// Dictionary bytes at the front of the stream (never returned).
+    primed: usize,
+    /// Bytes compacted off the front of `out` so far.
+    dropped: u64,
+    scratch: InflateScratch,
+    fast_enabled: bool,
+    trace: Option<TraceState>,
+}
+
+impl InflateCore {
+    /// A core at the start of a stream that decodes into `out` (cleared,
+    /// capacity kept) with `scratch`'s tables.
+    pub(crate) fn new(scratch: InflateScratch, mut out: Vec<u8>) -> Self {
+        out.clear();
+        Self {
+            phase: Phase::Header,
+            last_block: false,
+            out,
+            primed: 0,
+            dropped: 0,
+            scratch,
+            fast_enabled: true,
+            trace: None,
+        }
+    }
+
+    /// Primes the window with a preset dictionary (its last 32 KB).
+    ///
+    /// # Panics
+    ///
+    /// Panics if output has already been produced.
+    pub(crate) fn prime(&mut self, dict: &[u8]) {
+        assert!(
+            self.out.is_empty() && self.dropped == 0,
+            "prime_window after decoding started"
+        );
+        let d = &dict[dict.len().saturating_sub(WINDOW_SIZE)..];
+        self.out.extend_from_slice(d);
+        self.primed = d.len();
+    }
+
+    /// Consumes the core, returning the decoded bytes (dictionary
+    /// excluded) and the reusable scratch tables.
+    fn into_parts(mut self) -> (Vec<u8>, InflateScratch) {
+        self.out.drain(..self.dict_left());
+        (self.out, self.scratch)
+    }
+
+    /// Whether the final block has ended.
+    pub(crate) fn is_finished(&self) -> bool {
+        self.phase == Phase::Done
+    }
+
+    /// Bytes decoded so far, dictionary excluded.
+    pub(crate) fn total_out(&self) -> u64 {
+        self.dropped + self.out.len() as u64 - self.primed as u64
+    }
+
+    /// Dictionary bytes still at the front of `out` (at most 32 KB).
+    fn dict_left(&self) -> usize {
+        (self.primed as u64).saturating_sub(self.dropped) as usize
+    }
+
+    /// Decoded bytes still held in the buffer, dictionary excluded.
+    fn output(&self) -> &[u8] {
+        &self.out[self.dict_left()..]
+    }
+
+    /// The largest `out.len()` that keeps decoded output within `limit`.
+    fn max_len(&self, limit: usize) -> usize {
+        let allowed = (self.primed as u64)
+            .saturating_add(limit as u64)
+            .saturating_sub(self.dropped);
+        usize::try_from(allowed).unwrap_or(usize::MAX)
+    }
+
+    /// Drops decoded bytes that have left the 32 KB window. Runs only
+    /// once a whole extra window has piled up, so the move costs under one
+    /// byte per decoded byte however small the inputs are.
+    pub(crate) fn compact(&mut self) {
+        if self.out.len() >= 2 * WINDOW_SIZE {
+            let dead = self.out.len() - WINDOW_SIZE;
+            self.out.drain(..dead);
+            self.dropped += dead as u64;
+        }
+    }
+
+    /// Runs the state machine over `r` until the final block ends, the
+    /// input runs out, or (with `stop_at_block_end`) a block ends.
+    ///
+    /// # Errors
+    ///
+    /// Any [`Error`] for malformed input except `UnexpectedEof`, which
+    /// surfaces as [`Progress::NeedInput`]. See [`inflate_with_limit`] for
+    /// `limit`.
+    pub(crate) fn decode(
+        &mut self,
+        r: &mut BitReader<'_>,
+        limit: usize,
+        stop_at_block_end: bool,
+    ) -> Result<Progress> {
+        loop {
+            match self.phase {
+                Phase::Done => return Ok(Progress::Done),
+                Phase::Header => {
+                    let mark = r.fast_state();
+                    match self.block_header(r, limit) {
+                        Err(Error::UnexpectedEof) => {
+                            r.rewind(mark);
+                            return Ok(Progress::NeedInput);
+                        }
+                        res => res?,
+                    }
+                    continue;
+                }
+                Phase::Stored { remaining } => {
+                    let got = r.read_bytes_upto(&mut self.out, remaining);
+                    if got < remaining {
+                        self.phase = Phase::Stored {
+                            remaining: remaining - got,
+                        };
+                        return Ok(Progress::NeedInput);
+                    }
+                }
+                Phase::Huffman { fixed } => {
+                    if !self.huffman_body(r, fixed, limit)? {
+                        return Ok(Progress::NeedInput);
+                    }
+                }
+            }
+            self.end_block(r);
+            if self.phase == Phase::Done {
+                return Ok(Progress::Done);
+            }
+            if stop_at_block_end {
+                return Ok(Progress::BlockEnd);
+            }
+        }
+    }
+
+    /// Parses one block header (for dynamic blocks, the whole code-length
+    /// stream) and enters the block's body phase.
+    fn block_header(&mut self, r: &mut BitReader<'_>, limit: usize) -> Result<()> {
+        let start_bits = r.bits_consumed();
+        let last = r.read_bits(1)? == 1;
+        self.phase = match r.read_bits(2)? {
+            0b00 => {
+                r.align_to_byte();
+                let mut hdr = [0u8; 4];
+                r.read_bytes(&mut hdr)?;
+                let len = u16::from_le_bytes([hdr[0], hdr[1]]);
+                let nlen = u16::from_le_bytes([hdr[2], hdr[3]]);
+                if len != !nlen {
+                    return Err(Error::StoredLengthMismatch);
+                }
+                if self.out.len() + usize::from(len) > self.max_len(limit) {
+                    return Err(Error::OutputLimitExceeded);
+                }
+                Phase::Stored {
+                    remaining: usize::from(len),
+                }
+            }
+            0b01 => Phase::Huffman { fixed: true },
+            0b10 => {
+                read_dynamic_tables(r, &mut self.scratch)?;
+                Phase::Huffman { fixed: false }
+            }
+            _ => return Err(Error::ReservedBlockType),
+        };
+        self.last_block = last;
+        let out_start = self.total_out();
+        if let Some(t) = &mut self.trace {
+            t.start_bits = start_bits;
+            t.header_end_bits = r.bits_consumed();
+            t.out_start = out_start;
+        }
+        Ok(())
+    }
+
+    /// Closes the current block: records its trace and moves to the next
+    /// header, or to done after the final block.
+    fn end_block(&mut self, r: &BitReader<'_>) {
+        let total_out = self.total_out();
+        if let Some(t) = &mut self.trace {
+            let btype = match self.phase {
+                Phase::Stored { .. } => 0,
+                Phase::Huffman { fixed: true } => 1,
+                _ => 2,
+            };
+            t.blocks.push(BlockTrace {
+                btype,
+                header_bits: t.header_end_bits - t.start_bits,
+                tokens: std::mem::take(&mut t.tokens),
+                output_bytes: total_out - t.out_start,
+                total_bits: r.bits_consumed() - t.start_bits,
+            });
+        }
+        self.phase = if self.last_block {
+            Phase::Done
+        } else {
+            Phase::Header
+        };
+    }
+
+    /// Decodes Huffman-coded tokens until end-of-block (`Ok(true)`) or
+    /// until the input ends inside a token (`Ok(false)`, with the reader
+    /// rewound to that token's first bit).
+    fn huffman_body(&mut self, r: &mut BitReader<'_>, fixed: bool, limit: usize) -> Result<bool> {
+        let max_len = self.max_len(limit);
+        let (litlen, dist) = if fixed {
+            let (l, d) = fixed_decode_tables();
+            (l, d)
+        } else {
+            (&self.scratch.litlen, &self.scratch.dist)
+        };
+        let mut tokens = self.trace.as_mut().map(|t| &mut t.tokens);
+        let out = &mut self.out;
+        // The fast loop skips per-token bookkeeping, so tracing runs
+        // entirely on the careful path.
+        let use_fast = tokens.is_none() && self.fast_enabled && litlen.is_merged();
+        let mut careful_bytes = 0u64;
+        let res = loop {
+            if use_fast {
+                fast_loop(r, out, litlen, dist, max_len);
+            }
+            let mark = r.fast_state();
+            let before = out.len();
+            match careful_token(r, out, litlen, dist, max_len, tokens.as_deref_mut()) {
+                Ok(false) => careful_bytes += (out.len() - before) as u64,
+                Ok(true) => break Ok(true),
+                Err(Error::UnexpectedEof) => {
+                    r.rewind(mark);
+                    break Ok(false);
+                }
+                Err(e) => break Err(e),
+            }
+        };
+        if careful_bytes > 0 {
+            CAREFUL_PATH_BYTES.fetch_add(careful_bytes, Ordering::Relaxed);
+        }
+        res
+    }
+}
+
+/// Parses a dynamic-block header (HLIT/HDIST/HCLEN, the code-length
+/// code, and the run-length-encoded literal/distance lengths) and
+/// rebuilds `scratch.litlen` / `scratch.dist` in place.
+fn read_dynamic_tables(r: &mut BitReader<'_>, scratch: &mut InflateScratch) -> Result<()> {
+    let hlit = r.read_bits(5)? as usize + 257;
+    let hdist = r.read_bits(5)? as usize + 1;
+    let hclen = r.read_bits(4)? as usize + 4;
+    if hlit > 286 || hdist > 30 {
+        return Err(Error::InvalidCodeLengths);
+    }
+
+    let mut cl_lengths = [0u8; 19];
+    for &sym in CODELEN_ORDER.iter().take(hclen) {
+        cl_lengths[sym] = r.read_bits(3)? as u8;
+    }
+    scratch.cl.rebuild_plain(&cl_lengths)?;
+
+    let total = hlit + hdist;
+    scratch.lengths.clear();
+    scratch.lengths.resize(total, 0);
+    let (cl_table, lengths) = (&scratch.cl, &mut scratch.lengths);
+    let mut i = 0usize;
+    while i < total {
+        let sym = cl_table.decode(r)?;
+        match sym {
+            0..=15 => {
+                lengths[i] = sym as u8;
+                i += 1;
+            }
+            16 => {
+                if i == 0 {
+                    return Err(Error::RepeatWithoutPrevious);
+                }
+                let prev = lengths[i - 1];
+                let n = 3 + r.read_bits(2)? as usize;
+                if i + n > total {
+                    return Err(Error::TooManyCodeLengths);
+                }
+                for _ in 0..n {
+                    lengths[i] = prev;
+                    i += 1;
+                }
+            }
+            17 => {
+                let n = 3 + r.read_bits(3)? as usize;
+                if i + n > total {
+                    return Err(Error::TooManyCodeLengths);
+                }
+                i += n; // already zero
+            }
+            18 => {
+                let n = 11 + r.read_bits(7)? as usize;
+                if i + n > total {
+                    return Err(Error::TooManyCodeLengths);
+                }
+                i += n;
+            }
+            _ => return Err(Error::InvalidSymbol),
+        }
+    }
+
+    // The literal/length alphabet must contain the end-of-block code.
+    if scratch.lengths[256] == 0 {
+        return Err(Error::InvalidCodeLengths);
+    }
+    scratch.litlen.rebuild_litlen(&scratch.lengths[..hlit])?;
+    scratch.dist.rebuild_dist(&scratch.lengths[hlit..])?;
+    Ok(())
+}
+
+/// Decodes one token on the careful path. Returns `Ok(true)` on
+/// end-of-block. Every read happens before the first write, so a token
+/// that fails with `UnexpectedEof` has left `out` untouched.
+fn careful_token(
+    r: &mut BitReader<'_>,
+    out: &mut Vec<u8>,
+    litlen: &DecodeTable,
+    dist: &DecodeTable,
+    max_len: usize,
+    tokens: Option<&mut Vec<Token>>,
+) -> Result<bool> {
+    let e = litlen.decode_entry(r)?;
+    if e & M_LIT != 0 {
+        if out.len() >= max_len {
+            return Err(Error::OutputLimitExceeded);
+        }
+        let b = m_payload(e) as u8;
+        if let Some(ts) = tokens {
+            ts.push(Token::Literal(b));
+        }
+        out.push(b);
+        return Ok(false);
+    }
+    if e & M_EOB != 0 {
+        return Ok(true);
+    }
+    if e & M_EXC != 0 {
+        // Reserved literal/length symbols 286/287.
+        return Err(Error::InvalidLengthOrDistance);
+    }
+    let len = m_payload(e) as usize + r.read_bits(m_extra(e))? as usize;
+    let de = dist.decode_entry(r)?;
+    if de & M_EXC != 0 {
+        // Reserved distance symbols 30/31.
+        return Err(Error::InvalidLengthOrDistance);
+    }
+    let distance = m_payload(de) as usize + r.read_bits(m_extra(de))? as usize;
+    if distance > out.len() {
+        return Err(Error::DistanceTooFar);
+    }
+    if out.len() + len > max_len {
+        return Err(Error::OutputLimitExceeded);
+    }
+    if let Some(ts) = tokens {
+        ts.push(Token::Match {
+            len: len as u16,
+            dist: distance as u16,
+        });
+    }
+    let start = out.len() - distance;
+    if distance >= len {
+        out.extend_from_within(start..start + len);
+    } else {
+        // Overlapping copy (RLE semantics): out[start..] is periodic with
+        // period `distance`, so appending any prefix of it continues the
+        // pattern. The available source doubles each pass.
+        let mut remaining = len;
+        while remaining > 0 {
+            let take = remaining.min(out.len() - start);
+            out.extend_from_within(start..start + take);
+            remaining -= take;
+        }
+    }
+    Ok(false)
+}
+
+/// The fast inner loop. Decodes tokens while safety margins hold and
+/// hands any anomaly back to the careful loop with the reader rewound to
+/// the start of the offending token. Infallible by construction: it only
+/// commits tokens the careful path would also accept.
+///
+/// Safety margins (see DESIGN.md for the full argument):
+/// * **input**: runs while `pos + 16 <= data.len()`, so both the
+///   iteration-start refill and the mid-token refill read 8 in-bounds
+///   bytes and always leave ≥ 56 valid accumulator bits — enough for two
+///   literals (≤ 30 bits) or a literal + length code + extra (≤ 35 bits)
+///   before the mid refill, and a distance code + extra (≤ 28 bits) after
+///   it;
+/// * **output**: runs while `wpos + 274 <= fence`, where 274 ≥ one
+///   literal (1) + the longest match (258) rounded up to the next 8-byte
+///   copy boundary (264), so wide copies may overshoot into slack that
+///   `truncate` trims afterwards;
+/// * **limit**: the slack fence never extends past `max_len`, so the fast
+///   loop can never overrun the caller's output limit — near the limit it
+///   defers to the careful loop's exact check.
+fn fast_loop(
+    r: &mut BitReader<'_>,
+    out_buf: &mut Vec<u8>,
+    litlen: &DecodeTable,
+    dist: &DecodeTable,
+    max_len: usize,
+) {
+    const SLACK: usize = 274;
+    const CHUNK: usize = 64 * 1024;
+    let data = r.input();
+    let (mut acc, mut nbits, mut pos) = r.fast_state();
+    let mut wpos = out_buf.len();
+    let start_wpos = wpos;
+    'outer: while pos + 16 <= data.len() {
+        // Open a slack region: resize (not reserve) so the wide copies
+        // below can index freely; trimmed back to `wpos` on exit. A short
+        // input (a small streaming push) opens a proportionally short
+        // region instead of zero-filling a whole chunk it cannot use.
+        let chunk = (data.len() - pos).saturating_mul(4).clamp(4 * SLACK, CHUNK);
+        let target = wpos.saturating_add(chunk).min(max_len);
+        if target < wpos.saturating_add(SLACK) {
+            break;
+        }
+        if out_buf.len() < target {
+            out_buf.resize(target, 0);
+        }
+        let out = out_buf.as_mut_slice();
+        let fence = out.len();
+        while pos + 16 <= data.len() && wpos + SLACK <= fence {
+            if nbits < 56 {
+                let mut w = [0u8; 8];
+                w.copy_from_slice(&data[pos..pos + 8]);
+                acc |= u64::from_le_bytes(w) << nbits;
+                let absorbed = (63 - nbits) >> 3;
+                pos += absorbed as usize;
+                nbits += absorbed * 8;
+            }
+            let mut e = litlen.lookup(acc);
+            if e == 0 {
+                break 'outer;
+            }
+            if e & M_LIT != 0 {
+                let c = m_consumed(e);
+                acc >>= c;
+                nbits -= c;
+                out[wpos] = m_payload(e) as u8;
+                wpos += 1;
+                // Second literal from the same refill: ≥ 41 bits left.
+                e = litlen.lookup(acc);
+                if e & M_LIT != 0 {
+                    let c2 = m_consumed(e);
+                    acc >>= c2;
+                    nbits -= c2;
+                    out[wpos] = m_payload(e) as u8;
+                    wpos += 1;
+                    // Third literal: ≥ 26 bits left still covers a 15-bit
+                    // code plus the next root peek.
+                    e = litlen.lookup(acc);
+                    if e & M_LIT != 0 {
+                        let c3 = m_consumed(e);
+                        acc >>= c3;
+                        nbits -= c3;
+                        out[wpos] = m_payload(e) as u8;
+                        wpos += 1;
+                        continue;
+                    }
+                }
+                if e == 0 {
+                    continue;
+                }
+            }
+            if e & M_EXC != 0 {
+                // End-of-block or reserved symbol: let the careful loop
+                // re-decode it (nothing consumed for `e`).
+                break 'outer;
+            }
+            // Length/distance token. Snapshot so a bail re-decodes the
+            // whole token carefully with identical error semantics.
+            let snap = (acc, nbits, pos, wpos);
+            let c = m_consumed(e);
+            acc >>= c;
+            nbits -= c;
+            let lextra = m_extra(e);
+            let len = m_payload(e) as usize + (acc & ((1u64 << lextra) - 1)) as usize;
+            acc >>= lextra;
+            nbits -= lextra;
+            if nbits < 32 {
+                // Mid-token refill; in-bounds because `pos` has moved at
+                // most 7 bytes since the `pos + 16` guard.
+                let mut w = [0u8; 8];
+                w.copy_from_slice(&data[pos..pos + 8]);
+                acc |= u64::from_le_bytes(w) << nbits;
+                let absorbed = (63 - nbits) >> 3;
+                pos += absorbed as usize;
+                nbits += absorbed * 8;
+            }
+            let de = dist.lookup(acc);
+            if de == 0 || de & M_EXC != 0 {
+                (acc, nbits, pos, wpos) = snap;
+                break 'outer;
+            }
+            let dc = m_consumed(de);
+            acc >>= dc;
+            nbits -= dc;
+            let dextra = m_extra(de);
+            let distance = m_payload(de) as usize + (acc & ((1u64 << dextra) - 1)) as usize;
+            acc >>= dextra;
+            nbits -= dextra;
+            if distance > wpos {
+                (acc, nbits, pos, wpos) = snap;
+                break 'outer;
+            }
+            let src = wpos - distance;
+            if distance == 1 {
+                let b = out[src];
+                out[wpos..wpos + len].fill(b);
+            } else if distance >= 8 {
+                // 8-byte wide copy rounding up into the slack; each read
+                // is ≥ 8 bytes behind the write cursor, so already-written
+                // data is never read mid-chunk.
+                let mut s = src;
+                let mut d = wpos;
+                let end = wpos + len;
+                while d < end {
+                    let mut tmp = [0u8; 8];
+                    tmp.copy_from_slice(&out[s..s + 8]);
+                    out[d..d + 8].copy_from_slice(&tmp);
+                    s += 8;
+                    d += 8;
+                }
+            } else {
+                // Short-period overlap (2..=7): byte-by-byte keeps the
+                // pattern exact.
+                let mut i = wpos;
+                let end = wpos + len;
+                while i < end {
+                    out[i] = out[i - distance];
+                    i += 1;
+                }
+            }
+            wpos += len;
+        }
+    }
+    out_buf.truncate(wpos);
+    r.set_fast_state(acc, nbits, pos);
+    if wpos > start_wpos {
+        FAST_PATH_BYTES.fetch_add((wpos - start_wpos) as u64, Ordering::Relaxed);
+    }
+}
+
+/// Inflate over one borrowed input slice: an [`InflateCore`] handed its
+/// whole input at once, so running out of input is an error. The one-shot
+/// functions, the gzip/zlib containers and the seek index all decode
+/// through it.
 #[derive(Debug)]
 pub struct Inflater<'a> {
     reader: BitReader<'a>,
-    out: Vec<u8>,
-    /// Bytes of preset dictionary at the front of `out` (never returned).
-    primed: usize,
-    finished: bool,
-    trace: Option<Vec<BlockTrace>>,
-    scratch: InflateScratch,
-    fast_enabled: bool,
+    core: InflateCore,
 }
 
 impl<'a> Inflater<'a> {
@@ -239,14 +867,10 @@ impl<'a> Inflater<'a> {
     /// decoded size (e.g. from a gzip ISIZE trailer) should refine it via
     /// [`reserve_output`](Self::reserve_output).
     pub fn new(data: &'a [u8]) -> Self {
+        let out = Vec::with_capacity(initial_capacity(data.len()));
         Self {
             reader: BitReader::new(data),
-            out: Vec::with_capacity(initial_capacity(data.len())),
-            primed: 0,
-            finished: false,
-            trace: None,
-            scratch: InflateScratch::default(),
-            fast_enabled: true,
+            core: InflateCore::new(InflateScratch::default(), out),
         }
     }
 
@@ -270,33 +894,8 @@ impl<'a> Inflater<'a> {
             return Err(Error::UnexpectedEof);
         }
         let mut inf = Self::new(&data[byte..]);
-        let rem = (bit_offset % 8) as u32;
-        if rem > 0 {
-            inf.reader.read_bits(rem)?;
-        }
+        inf.reader.read_bits((bit_offset % 8) as u32)?;
         Ok(inf)
-    }
-
-    /// Creates an engine that reuses a previous decode's scratch tables
-    /// and output buffer (cleared, capacity kept) — see [`inflate_into`].
-    pub fn with_reuse(data: &'a [u8], scratch: InflateScratch, mut out: Vec<u8>) -> Self {
-        out.clear();
-        Self {
-            reader: BitReader::new(data),
-            out,
-            primed: 0,
-            finished: false,
-            trace: None,
-            scratch,
-            fast_enabled: true,
-        }
-    }
-
-    /// Consumes the engine, returning the decoded bytes (excluding any
-    /// primed dictionary) together with the reusable scratch state.
-    pub fn into_parts(mut self) -> (Vec<u8>, InflateScratch) {
-        self.out.drain(..self.primed);
-        (self.out, self.scratch)
     }
 
     /// Grows the output buffer's capacity toward `hint` expected decoded
@@ -307,13 +906,13 @@ impl<'a> Inflater<'a> {
         // remaining input (~1032×) or a hard 256 MiB roof.
         let input_len = self.reader.input().len();
         let cap = hint.min(input_len.saturating_mul(1032)).min(1 << 28);
-        self.out.reserve(cap);
+        self.core.out.reserve(cap);
     }
 
     /// Disables the fast loop, forcing every token through the careful
     /// per-symbol path — the reference mode for differential testing.
     pub fn disable_fast_path(&mut self) {
-        self.fast_enabled = false;
+        self.core.fast_enabled = false;
     }
 
     /// Primes the window with a preset dictionary (its last 32 KB), the
@@ -324,39 +923,19 @@ impl<'a> Inflater<'a> {
     ///
     /// Panics if output has already been produced.
     pub fn prime_window(&mut self, dict: &[u8]) {
-        assert!(self.out.is_empty(), "prime_window after decoding started");
-        let d = &dict[dict.len().saturating_sub(crate::WINDOW_SIZE)..];
-        self.out.extend_from_slice(d);
-        self.primed = d.len();
-    }
-
-    /// Consumes `n` bits without interpreting them — positions the engine
-    /// mid-stream (the streaming decoder re-enters at a block boundary it
-    /// recorded earlier).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnexpectedEof`] if fewer than `n` bits are available.
-    pub fn skip_bits(&mut self, n: u64) -> Result<()> {
-        let mut left = n;
-        while left > 0 {
-            let take = left.min(32) as u32;
-            self.reader.read_bits(take)?;
-            left -= u64::from(take);
-        }
-        Ok(())
+        self.core.prime(dict);
     }
 
     /// Enables structural tracing: each decoded block is recorded as a
     /// [`BlockTrace`], retrievable with [`take_trace`](Self::take_trace).
     pub fn enable_tracing(&mut self) {
-        self.trace = Some(Vec::new());
+        self.core.trace = Some(TraceState::default());
     }
 
     /// Returns the collected block traces (empty if tracing was never
     /// enabled).
     pub fn take_trace(&mut self) -> Vec<BlockTrace> {
-        self.trace.take().unwrap_or_default()
+        self.core.trace.take().map(|t| t.blocks).unwrap_or_default()
     }
 
     /// Runs the state machine to stream end.
@@ -365,72 +944,32 @@ impl<'a> Inflater<'a> {
     ///
     /// See [`inflate_with_limit`].
     pub fn run(&mut self, limit: usize) -> Result<()> {
-        while !self.finished {
-            self.decode_block(limit)?;
-        }
-        Ok(())
+        self.step(limit, false)
     }
 
-    /// Decodes exactly one block (header + body).
+    /// Decodes up to the end of the next block (header + body); a no-op
+    /// once the stream is finished.
     ///
     /// # Errors
     ///
     /// See [`inflate_with_limit`].
     pub fn decode_block(&mut self, limit: usize) -> Result<()> {
-        let start_bits = self.reader.bits_consumed();
-        let out_start = self.out.len();
-        let bfinal = self.reader.read_bits(1)? == 1;
-        let btype = self.reader.read_bits(2)? as u8;
-        let collect = self.trace.is_some();
-        let mut tokens: Vec<crate::lz77::Token> = Vec::new();
-        let header_end_bits;
-        match btype {
-            0b00 => {
-                header_end_bits = self.stored_block(limit)?;
-            }
-            0b01 => {
-                header_end_bits = self.reader.bits_consumed();
-                let (litlen, dist) = fixed_decode_tables();
-                self.huffman_block(litlen, dist, limit, collect.then_some(&mut tokens))?;
-            }
-            0b10 => {
-                // The scratch tables are moved out for the duration of the
-                // block so the table borrows don't pin `self`, and moved
-                // back unconditionally to keep their capacity for reuse.
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let built = self.read_dynamic_tables_into(&mut scratch);
-                header_end_bits = self.reader.bits_consumed();
-                let res = built.and_then(|()| {
-                    self.huffman_block(
-                        &scratch.litlen,
-                        &scratch.dist,
-                        limit,
-                        collect.then_some(&mut tokens),
-                    )
-                });
-                self.scratch = scratch;
-                res?;
-            }
-            _ => return Err(Error::ReservedBlockType),
+        self.step(limit, true)
+    }
+
+    fn step(&mut self, limit: usize, stop_at_block_end: bool) -> Result<()> {
+        match self
+            .core
+            .decode(&mut self.reader, limit, stop_at_block_end)?
+        {
+            Progress::NeedInput => Err(Error::UnexpectedEof),
+            Progress::Done | Progress::BlockEnd => Ok(()),
         }
-        if let Some(trace) = &mut self.trace {
-            trace.push(BlockTrace {
-                btype,
-                header_bits: header_end_bits - start_bits,
-                tokens,
-                output_bytes: (self.out.len() - out_start) as u64,
-                total_bits: self.reader.bits_consumed() - start_bits,
-            });
-        }
-        if bfinal {
-            self.finished = true;
-        }
-        Ok(())
     }
 
     /// Whether the final block has been decoded.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.core.is_finished()
     }
 
     /// Bits consumed from the input so far.
@@ -445,366 +984,13 @@ impl<'a> Inflater<'a> {
 
     /// Output decoded so far (excluding any primed dictionary).
     pub fn output(&self) -> &[u8] {
-        &self.out[self.primed..]
+        self.core.output()
     }
 
     /// Consumes the engine, returning the decoded bytes (excluding any
     /// primed dictionary).
-    pub fn into_output(mut self) -> Vec<u8> {
-        self.out.drain(..self.primed);
-        self.out
-    }
-
-    fn push(&mut self, b: u8, limit: usize) -> Result<()> {
-        if self.out.len() - self.primed >= limit {
-            return Err(Error::OutputLimitExceeded);
-        }
-        self.out.push(b);
-        Ok(())
-    }
-
-    /// Decodes a stored block body, returning the absolute bit position at
-    /// which the header (through NLEN) ended.
-    fn stored_block(&mut self, limit: usize) -> Result<u64> {
-        self.reader.align_to_byte();
-        let mut hdr = [0u8; 4];
-        self.reader.read_bytes(&mut hdr)?;
-        let header_end = self.reader.bits_consumed();
-        let len = u16::from_le_bytes([hdr[0], hdr[1]]);
-        let nlen = u16::from_le_bytes([hdr[2], hdr[3]]);
-        if len != !nlen {
-            return Err(Error::StoredLengthMismatch);
-        }
-        if self.out.len() - self.primed + usize::from(len) > limit {
-            return Err(Error::OutputLimitExceeded);
-        }
-        let start = self.out.len();
-        self.out.resize(start + usize::from(len), 0);
-        self.reader.read_bytes(&mut self.out[start..])?;
-        Ok(header_end)
-    }
-
-    /// Parses a dynamic-block header (HLIT/HDIST/HCLEN, the code-length
-    /// code, and the run-length-encoded literal/distance lengths) and
-    /// rebuilds `scratch.litlen` / `scratch.dist` in place.
-    fn read_dynamic_tables_into(&mut self, scratch: &mut InflateScratch) -> Result<()> {
-        let hlit = self.reader.read_bits(5)? as usize + 257;
-        let hdist = self.reader.read_bits(5)? as usize + 1;
-        let hclen = self.reader.read_bits(4)? as usize + 4;
-        if hlit > 286 || hdist > 30 {
-            return Err(Error::InvalidCodeLengths);
-        }
-
-        let mut cl_lengths = [0u8; 19];
-        for &sym in CODELEN_ORDER.iter().take(hclen) {
-            cl_lengths[sym] = self.reader.read_bits(3)? as u8;
-        }
-        scratch.cl.rebuild_plain(&cl_lengths)?;
-
-        let total = hlit + hdist;
-        scratch.lengths.clear();
-        scratch.lengths.resize(total, 0);
-        let (cl_table, lengths) = (&scratch.cl, &mut scratch.lengths);
-        let mut i = 0usize;
-        while i < total {
-            let sym = cl_table.decode(&mut self.reader)?;
-            match sym {
-                0..=15 => {
-                    lengths[i] = sym as u8;
-                    i += 1;
-                }
-                16 => {
-                    if i == 0 {
-                        return Err(Error::RepeatWithoutPrevious);
-                    }
-                    let prev = lengths[i - 1];
-                    let n = 3 + self.reader.read_bits(2)? as usize;
-                    if i + n > total {
-                        return Err(Error::TooManyCodeLengths);
-                    }
-                    for _ in 0..n {
-                        lengths[i] = prev;
-                        i += 1;
-                    }
-                }
-                17 => {
-                    let n = 3 + self.reader.read_bits(3)? as usize;
-                    if i + n > total {
-                        return Err(Error::TooManyCodeLengths);
-                    }
-                    i += n; // already zero
-                }
-                18 => {
-                    let n = 11 + self.reader.read_bits(7)? as usize;
-                    if i + n > total {
-                        return Err(Error::TooManyCodeLengths);
-                    }
-                    i += n;
-                }
-                _ => return Err(Error::InvalidSymbol),
-            }
-        }
-
-        // The literal/length alphabet must contain the end-of-block code.
-        if scratch.lengths[256] == 0 {
-            return Err(Error::InvalidCodeLengths);
-        }
-        scratch.litlen.rebuild_litlen(&scratch.lengths[..hlit])?;
-        scratch.dist.rebuild_dist(&scratch.lengths[hlit..])?;
-        Ok(())
-    }
-
-    fn huffman_block(
-        &mut self,
-        litlen: &DecodeTable,
-        dist: &DecodeTable,
-        limit: usize,
-        mut tokens: Option<&mut Vec<crate::lz77::Token>>,
-    ) -> Result<()> {
-        // The fast loop skips per-token bookkeeping, so tracing runs
-        // entirely on the careful path.
-        let use_fast = tokens.is_none() && self.fast_enabled && litlen.is_merged();
-        let mut careful_bytes = 0u64;
-        let res = loop {
-            if use_fast {
-                self.fast_loop(litlen, dist, limit);
-            }
-            match self.careful_token(litlen, dist, limit, &mut tokens, &mut careful_bytes) {
-                Ok(true) => break Ok(()),
-                Ok(false) => {}
-                Err(e) => break Err(e),
-            }
-        };
-        if careful_bytes > 0 {
-            CAREFUL_PATH_BYTES.fetch_add(careful_bytes, Ordering::Relaxed);
-        }
-        res
-    }
-
-    /// Decodes one token on the careful path. Returns `Ok(true)` on
-    /// end-of-block.
-    fn careful_token(
-        &mut self,
-        litlen: &DecodeTable,
-        dist: &DecodeTable,
-        limit: usize,
-        tokens: &mut Option<&mut Vec<crate::lz77::Token>>,
-        careful_bytes: &mut u64,
-    ) -> Result<bool> {
-        let e = litlen.decode_entry(&mut self.reader)?;
-        if e & M_LIT != 0 {
-            let b = m_payload(e) as u8;
-            if let Some(ts) = tokens.as_deref_mut() {
-                ts.push(crate::lz77::Token::Literal(b));
-            }
-            self.push(b, limit)?;
-            *careful_bytes += 1;
-            return Ok(false);
-        }
-        if e & M_EOB != 0 {
-            return Ok(true);
-        }
-        if e & M_EXC != 0 {
-            // Reserved literal/length symbols 286/287.
-            return Err(Error::InvalidLengthOrDistance);
-        }
-        let len = m_payload(e) as usize + self.reader.read_bits(m_extra(e))? as usize;
-        let de = dist.decode_entry(&mut self.reader)?;
-        if de & M_EXC != 0 {
-            // Reserved distance symbols 30/31.
-            return Err(Error::InvalidLengthOrDistance);
-        }
-        let distance = m_payload(de) as usize + self.reader.read_bits(m_extra(de))? as usize;
-        if distance > self.out.len() {
-            return Err(Error::DistanceTooFar);
-        }
-        if self.out.len() - self.primed + len > limit {
-            return Err(Error::OutputLimitExceeded);
-        }
-        if let Some(ts) = tokens.as_deref_mut() {
-            ts.push(crate::lz77::Token::Match {
-                len: len as u16,
-                dist: distance as u16,
-            });
-        }
-        let start = self.out.len() - distance;
-        if distance >= len {
-            self.out.extend_from_within(start..start + len);
-        } else {
-            // Overlapping copy (RLE semantics): out[start..] is periodic
-            // with period `distance`, so appending any prefix of it
-            // continues the pattern. The available source doubles each
-            // pass.
-            let mut remaining = len;
-            while remaining > 0 {
-                let take = remaining.min(self.out.len() - start);
-                self.out.extend_from_within(start..start + take);
-                remaining -= take;
-            }
-        }
-        *careful_bytes += len as u64;
-        Ok(false)
-    }
-
-    /// The fast inner loop. Decodes tokens while safety margins hold and
-    /// hands any anomaly back to the careful loop with the reader rewound
-    /// to the start of the offending token. Infallible by construction:
-    /// it only commits tokens the careful path would also accept.
-    ///
-    /// Safety margins (see DESIGN.md for the full argument):
-    /// * **input**: runs while `pos + 16 <= data.len()`, so both the
-    ///   iteration-start refill and the mid-token refill read 8 in-bounds
-    ///   bytes and always leave ≥ 56 valid accumulator bits — enough for
-    ///   two literals (≤ 30 bits) or a literal + length code + extra
-    ///   (≤ 35 bits) before the mid refill, and a distance code + extra
-    ///   (≤ 28 bits) after it;
-    /// * **output**: runs while `wpos + 274 <= fence`, where 274 ≥ one
-    ///   literal (1) + the longest match (258) rounded up to the next
-    ///   8-byte copy boundary (264), so wide copies may overshoot into
-    ///   slack that `truncate` trims afterwards;
-    /// * **limit**: the slack fence never extends past `primed + limit`,
-    ///   so the fast loop can never overrun the caller's output limit —
-    ///   near the limit it defers to the careful loop's exact check.
-    fn fast_loop(&mut self, litlen: &DecodeTable, dist: &DecodeTable, limit: usize) {
-        const SLACK: usize = 274;
-        const CHUNK: usize = 64 * 1024;
-        let data = self.reader.input();
-        let (mut acc, mut nbits, mut pos) = self.reader.fast_state();
-        let mut wpos = self.out.len();
-        let start_wpos = wpos;
-        let limit_bound = self.primed.saturating_add(limit);
-        'outer: while pos + 16 <= data.len() {
-            // Open a slack region: resize (not reserve) so the wide copies
-            // below can index freely; trimmed back to `wpos` on exit.
-            let target = wpos.saturating_add(CHUNK).min(limit_bound);
-            if target < wpos.saturating_add(SLACK) {
-                break;
-            }
-            if self.out.len() < target {
-                self.out.resize(target, 0);
-            }
-            let out = self.out.as_mut_slice();
-            let fence = out.len();
-            while pos + 16 <= data.len() && wpos + SLACK <= fence {
-                if nbits < 56 {
-                    let mut w = [0u8; 8];
-                    w.copy_from_slice(&data[pos..pos + 8]);
-                    acc |= u64::from_le_bytes(w) << nbits;
-                    let absorbed = (63 - nbits) >> 3;
-                    pos += absorbed as usize;
-                    nbits += absorbed * 8;
-                }
-                let mut e = litlen.lookup(acc);
-                if e == 0 {
-                    break 'outer;
-                }
-                if e & M_LIT != 0 {
-                    let c = m_consumed(e);
-                    acc >>= c;
-                    nbits -= c;
-                    out[wpos] = m_payload(e) as u8;
-                    wpos += 1;
-                    // Second literal from the same refill: ≥ 41 bits left.
-                    e = litlen.lookup(acc);
-                    if e & M_LIT != 0 {
-                        let c2 = m_consumed(e);
-                        acc >>= c2;
-                        nbits -= c2;
-                        out[wpos] = m_payload(e) as u8;
-                        wpos += 1;
-                        // Third literal: ≥ 26 bits left still covers a
-                        // 15-bit code plus the next root peek.
-                        e = litlen.lookup(acc);
-                        if e & M_LIT != 0 {
-                            let c3 = m_consumed(e);
-                            acc >>= c3;
-                            nbits -= c3;
-                            out[wpos] = m_payload(e) as u8;
-                            wpos += 1;
-                            continue;
-                        }
-                    }
-                    if e == 0 {
-                        continue;
-                    }
-                }
-                if e & M_EXC != 0 {
-                    // End-of-block or reserved symbol: let the careful
-                    // loop re-decode it (nothing consumed for `e`).
-                    break 'outer;
-                }
-                // Length/distance token. Snapshot so a bail re-decodes the
-                // whole token carefully with identical error semantics.
-                let snap = (acc, nbits, pos, wpos);
-                let c = m_consumed(e);
-                acc >>= c;
-                nbits -= c;
-                let lextra = m_extra(e);
-                let len = m_payload(e) as usize + (acc & ((1u64 << lextra) - 1)) as usize;
-                acc >>= lextra;
-                nbits -= lextra;
-                if nbits < 32 {
-                    // Mid-token refill; in-bounds because `pos` has moved
-                    // at most 7 bytes since the `pos + 16` guard.
-                    let mut w = [0u8; 8];
-                    w.copy_from_slice(&data[pos..pos + 8]);
-                    acc |= u64::from_le_bytes(w) << nbits;
-                    let absorbed = (63 - nbits) >> 3;
-                    pos += absorbed as usize;
-                    nbits += absorbed * 8;
-                }
-                let de = dist.lookup(acc);
-                if de == 0 || de & M_EXC != 0 {
-                    (acc, nbits, pos, wpos) = snap;
-                    break 'outer;
-                }
-                let dc = m_consumed(de);
-                acc >>= dc;
-                nbits -= dc;
-                let dextra = m_extra(de);
-                let distance = m_payload(de) as usize + (acc & ((1u64 << dextra) - 1)) as usize;
-                acc >>= dextra;
-                nbits -= dextra;
-                if distance > wpos {
-                    (acc, nbits, pos, wpos) = snap;
-                    break 'outer;
-                }
-                let src = wpos - distance;
-                if distance == 1 {
-                    let b = out[src];
-                    out[wpos..wpos + len].fill(b);
-                } else if distance >= 8 {
-                    // 8-byte wide copy rounding up into the slack; each
-                    // read is ≥ 8 bytes behind the write cursor, so
-                    // already-written data is never read mid-chunk.
-                    let mut s = src;
-                    let mut d = wpos;
-                    let end = wpos + len;
-                    while d < end {
-                        let mut tmp = [0u8; 8];
-                        tmp.copy_from_slice(&out[s..s + 8]);
-                        out[d..d + 8].copy_from_slice(&tmp);
-                        s += 8;
-                        d += 8;
-                    }
-                } else {
-                    // Short-period overlap (2..=7): byte-by-byte keeps the
-                    // pattern exact.
-                    let mut i = wpos;
-                    let end = wpos + len;
-                    while i < end {
-                        out[i] = out[i - distance];
-                        i += 1;
-                    }
-                }
-                wpos += len;
-            }
-        }
-        self.out.truncate(wpos);
-        self.reader.set_fast_state(acc, nbits, pos);
-        if wpos > start_wpos {
-            FAST_PATH_BYTES.fetch_add((wpos - start_wpos) as u64, Ordering::Relaxed);
-        }
+    pub fn into_output(self) -> Vec<u8> {
+        self.core.into_parts().0
     }
 }
 
@@ -1099,10 +1285,10 @@ mod tests {
     #[test]
     fn output_capacity_is_seeded() {
         let inf = Inflater::new(&[0u8; 1000]);
-        assert!(inf.out.capacity() >= 4000);
+        assert!(inf.core.out.capacity() >= 4000);
         let mut inf = Inflater::new(&[0u8; 8]);
         inf.reserve_output(usize::MAX); // hostile hint is capped
-        assert!(inf.out.capacity() <= 8 * 1032);
+        assert!(inf.core.out.capacity() <= 8 * 1032);
     }
 
     #[test]

@@ -142,15 +142,7 @@ pub fn decompress_into(
     out: &mut Vec<u8>,
 ) -> Result<()> {
     let (_header, pos) = parse_header(data)?;
-    let mut inf =
-        decoder::Inflater::with_reuse(&data[pos..], std::mem::take(scratch), std::mem::take(out));
-    inf.reserve_output(isize_hint(data));
-    let res = inf.run(usize::MAX);
-    let used_payload = inf.byte_position();
-    let (o, s) = inf.into_parts();
-    *scratch = s;
-    *out = o;
-    res?;
+    let used_payload = decoder::inflate_reusing(&data[pos..], &[], isize_hint(data), scratch, out)?;
     let used = verify_trailer(data, pos + used_payload, out)?;
     if used != data.len() {
         return Err(Error::TrailingData);

@@ -9,6 +9,10 @@
 //! chunk boundary semantics (`Sync` emits the classic zlib empty stored
 //! block so the output so far is byte-aligned and decodable).
 //!
+//! [`InflateStream`] is the decode side: a push-based front end over the
+//! resumable inflate core that returns every decoded byte as soon as the
+//! input reaches it and holds no more than a token's worth of input.
+//!
 //! ```
 //! use nx_deflate::stream::{Flush, StreamEncoder};
 //! use nx_deflate::{inflate, CompressionLevel};
@@ -22,7 +26,8 @@
 //! # }
 //! ```
 
-use crate::bitio::BitWriter;
+use crate::bitio::{BitReader, BitWriter};
+use crate::decoder::{InflateCore, InflateScratch};
 use crate::encoder::{
     choose_and_encode_block_at, encode_fixed_block, CompressionLevel, MAX_BLOCK_TOKENS,
 };
@@ -238,13 +243,17 @@ impl StreamEncoder {
 }
 
 /// A push-based streaming decompressor: feed compressed bytes as they
-/// arrive, collect output as blocks complete.
+/// arrive, collect every byte they decode.
 ///
-/// Decoding is block-at-a-time: after each [`push`](InflateStream::push)
-/// the engine decodes every block that is now fully available and holds
-/// position at the first incomplete one. The 32 KB window is carried
-/// internally, so consumed input and produced output can both be dropped
-/// by the caller.
+/// A thin front end over the same resumable core as [`crate::inflate`]. Each
+/// [`push`](InflateStream::push) decodes as far as the bytes so far reach
+/// — into the middle of a block — and returns everything decoded, so the
+/// caller gets output without waiting for a block to end. When the input
+/// ends inside a token the core backs up to that token's first bit; the
+/// stream keeps only the input from that bit on, never a whole block, and
+/// never decodes a block body twice. The 32 KB window is
+/// carried internally, so consumed input and produced output can both be
+/// dropped by the caller.
 ///
 /// ```
 /// use nx_deflate::stream::InflateStream;
@@ -263,120 +272,103 @@ impl StreamEncoder {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct InflateStream {
-    /// Unconsumed compressed input (compacted to whole bytes).
-    buf: Vec<u8>,
-    /// Bit offset of the next undecoded block within `buf`.
-    bit_pos: u64,
-    /// The carried output window (last ≤ 32 KB of produced output).
-    window: Vec<u8>,
-    /// Reusable decode tables + length scratch, carried across pushes so
-    /// steady-state decoding stops allocating.
-    scratch: crate::decoder::InflateScratch,
-    /// Reusable per-block output buffer (swapped into each engine).
-    block_out: Vec<u8>,
-    finished: bool,
-    total_out: u64,
+    /// The decoder state; its output buffer doubles as the 32 KB window.
+    core: InflateCore,
+    /// Input the core stopped in front of, followed by the current push.
+    pending: Vec<u8>,
+    /// Bits of `pending[0]` already consumed (0..8).
+    bit_off: u32,
+    /// The first malformation seen; every later call returns it.
+    error: Option<crate::Error>,
+}
+
+impl Default for InflateStream {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl InflateStream {
     /// An empty stream decoder.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            core: InflateCore::new(InflateScratch::default(), Vec::new()),
+            pending: Vec::new(),
+            bit_off: 0,
+            error: None,
+        }
+    }
+
+    /// A stream decoder whose window starts primed with `dict` (its last
+    /// 32 KB) — the streaming twin of [`crate::inflate_with_dict`].
+    pub fn with_dict(dict: &[u8]) -> Self {
+        let mut s = Self::new();
+        s.core.prime(dict);
+        s
     }
 
     /// Whether the final block has been decoded.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.core.is_finished()
     }
 
     /// Total bytes produced so far.
     pub fn total_out(&self) -> u64 {
-        self.total_out
+        self.core.total_out()
     }
 
-    /// Feeds more compressed bytes; returns the output of every block
-    /// completed by this push.
+    /// Feeds more compressed bytes; returns every byte they let the
+    /// decoder produce, including bytes from a block that has not ended.
     ///
     /// # Errors
     ///
-    /// Any [`crate::Error`] for malformed input. Input past the final
-    /// block is ignored (callers handle trailers themselves).
+    /// Any [`crate::Error`] for malformed input. Errors are sticky: after
+    /// one, every later `push` and [`finish`](Self::finish) returns the
+    /// same error without decoding anything. Input past the final block
+    /// is ignored (callers handle trailers themselves).
     pub fn push(&mut self, bytes: &[u8]) -> crate::Result<Vec<u8>> {
-        if self.finished {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
+        if self.core.is_finished() {
             return Ok(Vec::new());
         }
-        self.buf.extend_from_slice(bytes);
-        let mut produced = Vec::new();
-        loop {
-            // Attempt one block from the current bit position on an engine
-            // primed with the carried window, recycling the decode tables
-            // and per-block output buffer across pushes.
-            let mut inf = crate::decoder::Inflater::with_reuse(
-                &self.buf,
-                std::mem::take(&mut self.scratch),
-                std::mem::take(&mut self.block_out),
-            );
-            inf.prime_window(&self.window);
-            if inf.skip_bits(self.bit_pos).is_err() {
-                // Not even the position's bits are present yet.
-                let (out, scratch) = inf.into_parts();
-                (self.block_out, self.scratch) = (out, scratch);
-                break;
-            }
-            let status = inf.decode_block(usize::MAX);
-            let (bit_pos, block_final) = (inf.bit_position(), inf.is_finished());
-            let (out, scratch) = inf.into_parts();
-            self.scratch = scratch;
-            match status {
-                Ok(()) => {
-                    self.bit_pos = bit_pos;
-                    self.total_out += out.len() as u64;
-                    // Update the carried window.
-                    self.window.extend_from_slice(&out);
-                    let excess = self.window.len().saturating_sub(crate::WINDOW_SIZE);
-                    if excess > 0 {
-                        self.window.drain(..excess);
-                    }
-                    if block_final {
-                        self.finished = true;
-                    }
-                    produced.extend_from_slice(&out);
-                    self.block_out = out;
-                    // Compact consumed whole bytes.
-                    let whole = (self.bit_pos / 8) as usize;
-                    if whole > 0 {
-                        self.buf.drain(..whole);
-                        self.bit_pos %= 8;
-                    }
-                    if self.finished {
-                        break;
-                    }
-                }
-                Err(crate::Error::UnexpectedEof) => {
-                    self.block_out = out;
-                    break; // need more input
-                }
-                Err(e) => {
-                    self.block_out = out;
-                    return Err(e);
-                }
-            }
+        self.core.compact();
+        let start = self.core.out.len();
+        self.pending.extend_from_slice(bytes);
+        let mut r = BitReader::new(&self.pending);
+        let res = r
+            .read_bits(self.bit_off)
+            .and_then(|_| self.core.decode(&mut r, usize::MAX, false));
+        if let Err(e) = res {
+            self.error = Some(e.clone());
+            self.pending = Vec::new();
+            return Err(e);
         }
-        Ok(produced)
+        let used = r.bits_consumed();
+        if self.core.is_finished() {
+            self.pending.clear();
+            self.bit_off = 0;
+        } else {
+            self.pending.drain(..(used / 8) as usize);
+            self.bit_off = (used % 8) as u32;
+        }
+        Ok(self.core.out[start..].to_vec())
     }
 
     /// Declares end of input.
     ///
     /// # Errors
     ///
+    /// The sticky error of an earlier failed [`push`](Self::push), else
     /// [`crate::Error::UnexpectedEof`] if the stream was incomplete.
     pub fn finish(&self) -> crate::Result<()> {
-        if self.finished {
-            Ok(())
-        } else {
-            Err(crate::Error::UnexpectedEof)
+        match &self.error {
+            Some(e) => Err(e.clone()),
+            None if self.core.is_finished() => Ok(()),
+            None => Err(crate::Error::UnexpectedEof),
         }
     }
 }
@@ -559,20 +551,108 @@ mod tests {
         assert_eq!(out.capacity(), cap, "output buffer was reallocated");
     }
 
+    /// Endless seeded push sizes, roughly log-uniform over 64 B ..= 16 KiB.
+    fn push_sizes(seed: u64) -> impl Iterator<Item = usize> {
+        let mut x = seed;
+        std::iter::repeat_with(move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let base = 64usize << ((x >> 33) % 9);
+            (base + (x >> 45) as usize % base).min(16 << 10)
+        })
+    }
+
     #[test]
-    fn inflate_stream_recycles_block_buffers() {
-        // Two same-shape streams through one decoder-per-stream pattern:
-        // the second push cycle must not grow the internal buffers.
-        let data: Vec<u8> = b"recycled push-based inflate buffers ".repeat(500);
+    fn inflate_stream_holds_bounded_memory() {
+        // 4 MiB, level 6: blocks far longer than any push. After every
+        // push the stream may hold only the tail of one token or header
+        // (RFC 1951 bounds a dynamic header under 600 bytes) of input,
+        // and only the window, one compaction slack and this push's output
+        // of output.
+        let words = [
+            "window ", "token ", "block ", "header ", "push ", "the ", "of ",
+        ];
+        let mut x = 1u64;
+        let mut data = Vec::with_capacity(4 << 20);
+        while data.len() < 4 << 20 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            data.extend_from_slice(words[(x >> 40) as usize % words.len()].as_bytes());
+            data.extend_from_slice(format!("{} ", (x >> 50) % 977).as_bytes());
+        }
         let comp = crate::deflate(&data, lvl(6));
         let mut dec = InflateStream::new();
         let mut out = Vec::new();
-        for c in comp.chunks(1024) {
-            out.extend(dec.push(c).unwrap());
+        let mut pos = 0usize;
+        let mut nonempty_pushes = 0usize;
+        for size in push_sizes(7) {
+            if pos == comp.len() {
+                break;
+            }
+            let end = (pos + size).min(comp.len());
+            let piece = dec.push(&comp[pos..end]).unwrap();
+            pos = end;
+            assert!(
+                dec.pending.len() <= 600,
+                "retained {} input bytes",
+                dec.pending.len()
+            );
+            assert!(
+                dec.core.out.len() <= 2 * WINDOW_SIZE + piece.len(),
+                "retained {} output bytes after a {}-byte push",
+                dec.core.out.len(),
+                piece.len()
+            );
+            nonempty_pushes += usize::from(!piece.is_empty());
+            out.extend_from_slice(&piece);
         }
-        assert_eq!(out, data);
-        let cap = dec.block_out.capacity();
-        assert!(cap > 0, "block buffer never retained");
+        // A push that ends inside a block still returns what it decoded:
+        // a decoder that waited for block ends could return output on at
+        // most one push per block.
+        let blocks = crate::inflate_traced(&comp).unwrap().1.len();
+        assert!(
+            nonempty_pushes > 2 * blocks,
+            "{nonempty_pushes} pushes returned output across {blocks} blocks"
+        );
+        assert!(dec.is_finished());
+        assert_eq!(out.len(), data.len());
+        assert!(out == data);
+    }
+
+    #[test]
+    fn inflate_stream_errors_are_sticky() {
+        let data: Vec<u8> = b"sticky errors never re-decode ".repeat(2000);
+        let mut comp = crate::deflate(&data, lvl(6));
+        // Reserved block type in the first header.
+        comp[0] |= 0b110;
+        let mut dec = InflateStream::new();
+        let err = dec.push(&comp[..100]).unwrap_err();
+        assert_eq!(err, crate::Error::ReservedBlockType);
+        for c in comp[100..].chunks(1000) {
+            assert_eq!(dec.push(c), Err(err.clone()));
+            // Nothing is buffered for a retry.
+            assert!(dec.pending.is_empty());
+        }
+        assert_eq!(dec.finish(), Err(err));
+        assert_eq!(dec.total_out(), 0);
+    }
+
+    #[test]
+    fn inflate_stream_with_dict_matches_oneshot() {
+        let dict: Vec<u8> = (0..40_000u32).map(|i| (i * 7 % 253) as u8).collect();
+        let data: Vec<u8> = dict[5_000..].iter().copied().cycle().take(90_000).collect();
+        let comp = crate::encoder::deflate_with_dict(&data, lvl(6), &dict);
+        assert_eq!(crate::inflate_with_dict(&comp, &dict).unwrap(), data);
+        for chunk in [1usize, 61, 4096] {
+            let mut dec = InflateStream::with_dict(&dict);
+            let mut out = Vec::new();
+            for c in comp.chunks(chunk) {
+                out.extend(dec.push(c).unwrap());
+            }
+            dec.finish().unwrap();
+            assert_eq!(out, data, "chunk {chunk}");
+            assert_eq!(dec.total_out(), data.len() as u64);
+        }
     }
 
     #[test]

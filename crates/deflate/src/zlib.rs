@@ -236,14 +236,7 @@ pub fn decompress_into(
     if flg & 0x20 != 0 {
         return Err(Error::DictionaryRequired);
     }
-    let mut inf =
-        decoder::Inflater::with_reuse(&data[2..], std::mem::take(scratch), std::mem::take(out));
-    let res = inf.run(usize::MAX);
-    let used = inf.byte_position();
-    let (o, s) = inf.into_parts();
-    *scratch = s;
-    *out = o;
-    res?;
+    let used = decoder::inflate_reusing(&data[2..], &[], 0, scratch, out)?;
     let trailer_at = 2 + used;
     if trailer_at + 4 > data.len() {
         return Err(Error::UnexpectedEof);
@@ -288,15 +281,7 @@ pub fn decompress_with_dict_into(
     if dictid != adler32(dict) {
         return Err(Error::DictionaryMismatch);
     }
-    let mut inf =
-        decoder::Inflater::with_reuse(&data[6..], std::mem::take(scratch), std::mem::take(out));
-    inf.prime_window(dict);
-    let res = inf.run(usize::MAX);
-    let used = inf.byte_position();
-    let (o, s) = inf.into_parts();
-    *scratch = s;
-    *out = o;
-    res?;
+    let used = decoder::inflate_reusing(&data[6..], dict, 0, scratch, out)?;
     let trailer_at = 6 + used;
     if trailer_at + 4 > data.len() {
         return Err(Error::UnexpectedEof);

@@ -32,6 +32,25 @@ fn structured_bytes() -> impl Strategy<Value = Vec<u8>> {
     .prop_map(|chunks| chunks.concat())
 }
 
+/// Decodes `comp` (primed with `dict`) through `InflateStream`, pushed in
+/// seeded variable pieces of 1 B to 4 KiB, surfacing a push error or an
+/// incomplete stream at `finish()` the way a socket reader would.
+fn stream_inflate(comp: &[u8], dict: &[u8], seed: u64) -> Result<Vec<u8>, nx_deflate::Error> {
+    let mut dec = nx_deflate::InflateStream::with_dict(dict);
+    let (mut out, mut pos, mut x) = (Vec::new(), 0usize, seed);
+    while pos < comp.len() {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let size = 1 + (x >> 33) as usize % (1usize << ((x >> 20) % 13));
+        let end = (pos + size).min(comp.len());
+        out.extend(dec.push(&comp[pos..end])?);
+        pos = end;
+    }
+    dec.finish()?;
+    Ok(out)
+}
+
 /// Tokenizes `data` with the sequential hash4 matcher zlib would pick
 /// for `level`: greedy below level 4, lazy from level 4 on.
 fn sequential_tokens(data: &[u8], level: u32) -> Vec<Token> {
@@ -279,16 +298,38 @@ proptest! {
     fn inflate_stream_matches_oneshot_for_any_chunking(
         data in structured_bytes(),
         level in 0u32..=9,
-        chunk in 1usize..300,
+        seed in any::<u64>(),
+        dict in prop::collection::vec(any::<u8>(), 0..300),
+        cut in any::<u64>(),
+        flip in any::<u64>(),
     ) {
-        let comp = deflate(&data, CompressionLevel::new(level).unwrap());
-        let mut dec = nx_deflate::InflateStream::new();
-        let mut out = Vec::new();
-        for c in comp.chunks(chunk) {
-            out.extend(dec.push(c).unwrap());
-        }
-        prop_assert!(dec.is_finished());
-        prop_assert_eq!(out, data);
+        let lvl = CompressionLevel::new(level).unwrap();
+        let comp = if dict.is_empty() {
+            deflate(&data, lvl)
+        } else {
+            nx_deflate::deflate_with_dict(&data, lvl, &dict)
+        };
+        // Seeded variable pushes decode exactly what the one-shot does.
+        prop_assert_eq!(stream_inflate(&comp, &dict, seed), Ok(data.clone()));
+
+        // Truncation: the one-shot fails with UnexpectedEof, and so does
+        // the stream's finish() after every push succeeded.
+        let short = &comp[..(cut % comp.len() as u64) as usize];
+        prop_assert_eq!(
+            nx_deflate::inflate_with_dict(short, &dict),
+            Err(nx_deflate::Error::UnexpectedEof)
+        );
+        prop_assert_eq!(stream_inflate(short, &dict, seed), Err(nx_deflate::Error::UnexpectedEof));
+
+        // A flipped bit: both decoders agree on Ok vs Err, on the bytes,
+        // and on the error variant.
+        let mut bad = comp.clone();
+        let bit = flip % (bad.len() as u64 * 8);
+        bad[(bit / 8) as usize] ^= 1 << (bit % 8);
+        prop_assert_eq!(
+            stream_inflate(&bad, &dict, seed),
+            nx_deflate::inflate_with_dict(&bad, &dict)
+        );
     }
 
     #[test]

@@ -163,6 +163,39 @@ if [[ "$FAST" == "0" ]]; then
         echo "    no committed baseline found; recorded ${fresh} MB/s"
     fi
 
+    echo "==> streaming inflate gate (E20 Part E: 4 KiB >= 0.90x, 64 B >= 0.33x one-shot)"
+    # Same-run ratios, not committed absolutes: each push size is timed
+    # against the one-shot on the same member in the same process, so
+    # host drift cancels. Streaming must also reproduce the one-shot bytes.
+    stream_gate() {
+        python3 - <<'EOF'
+import json
+import sys
+
+with open("BENCH_KERNELS.json") as f:
+    rows = json.load(f)
+stream = {r["push_bytes"]: r for r in rows if r["section"] == "stream"}
+ok = True
+for push, bar in ((4096, 0.90), (64, 0.33)):
+    r = stream.get(push)
+    if r is None:
+        print(f"    no {push} B stream row")
+        sys.exit(1)
+    print(f"    {push} B pushes: {r['vs_oneshot']}x one-shot (bar {bar}x), identical: {r['identical']}")
+    ok &= r["vs_oneshot"] >= bar and r["identical"]
+sys.exit(0 if ok else 1)
+EOF
+    }
+    if ! stream_gate; then
+        # Same one-re-measure damper as the throughput gates.
+        echo "    streaming ratio below its bar; re-measuring once"
+        cargo run --offline --release -p nx-bench --bin tables -- e20 > /dev/null
+        if ! stream_gate; then
+            echo "==> FAIL: streaming inflate fell below its same-run bar vs one-shot"
+            exit 1
+        fi
+    fi
+
     echo "==> deflate ladder gate (E21, regression bar 10%)"
     # Same pattern as E20: snapshot the committed default-level deflate
     # throughput, rerun the sweep, fail on a >10% regression, and require
